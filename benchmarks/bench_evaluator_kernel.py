@@ -1,4 +1,4 @@
-"""Compiled evaluation kernels: legacy vs compiled vs speculative-batched.
+"""Compiled evaluation kernels: legacy vs compiled.
 
 The PR 3 tentpole claim, measured three ways on a standard
 ``synthesize_mdac`` workload (cold anneal, budget 400, fixed seed):
@@ -12,7 +12,7 @@ The PR 3 tentpole claim, measured three ways on a standard
   ``np.linalg.solve``; the kernel solves the whole grid as one stacked
   batch.  This is where the batched-linear-solve tentpole lands its
   biggest factor (>= 3x is asserted here);
-* **result identity** — every variant must produce bit-identical
+* **result identity** — both kernels must produce bit-identical
   synthesis results (the determinism contract that lets the compiled
   kernel be the default).
 
@@ -20,14 +20,6 @@ The legacy variant runs under ``layout_cache_disabled`` so it also pays
 the per-call :class:`~repro.analysis.mna.MnaLayout` derivation the
 pre-kernel evaluator paid.  Numbers land in ``BENCH_PR6.json`` via
 ``benchmarks/run_all.py``.
-
-PR 6 added the speculation receipt: the shipped
-``FlowConfig.eval_speculation`` default is asserted against a fresh
-measurement, so the default can only flip when this file proves it.
-PR 8 re-ran that verdict on the batched DC kernel (whose cold-start
-lockstep solves batch the DC stage across speculated proposals) and the
-receipt split per kernel: the shipped default is now auto — on under
-``dc_kernel='batched'``, off under ``'chained'``.
 """
 
 import time
@@ -37,7 +29,6 @@ import pytest
 
 from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
-from repro.engine.config import SPECULATION_AUTO, FlowConfig
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
 from repro.specs import AdcSpec, plan_stages
@@ -52,8 +43,7 @@ def _block_spec():
     return plan.mdacs[2]  # the 2-bit stage: fastest standard block
 
 
-def _synthesize(kernel: str, budget: int = 400, speculation: int = 0,
-                dc_kernel: str = "chained"):
+def _synthesize(kernel: str, budget: int = 400):
     mdac = _block_spec()
     start = time.perf_counter()
     result = synthesize_mdac(
@@ -63,8 +53,6 @@ def _synthesize(kernel: str, budget: int = 400, speculation: int = 0,
         seed=1,
         verify_transient=False,
         kernel=kernel,
-        speculation=speculation,
-        dc_kernel=dc_kernel,
     )
     wall = time.perf_counter() - start
     return result, result.equation_evals / wall
@@ -77,18 +65,15 @@ def test_kernel_throughput_and_identity(once):
         legacy, legacy_rate = _synthesize("legacy")
     compiled_run = once(lambda: _synthesize("compiled"))
     compiled, compiled_rate = compiled_run
-    speculative, speculative_rate = _synthesize("compiled", speculation=8)
 
     print(
         f"\nlegacy:      {legacy_rate:7.1f} cand/s"
         f"\ncompiled:    {compiled_rate:7.1f} cand/s"
         f" ({compiled_rate / legacy_rate:.2f}x)"
-        f"\nspeculative: {speculative_rate:7.1f} cand/s"
     )
-    # Bit-identical synthesis outcomes across every variant.
+    # Bit-identical synthesis outcomes across both kernels.
     assert sizing_digest(compiled) == sizing_digest(legacy)
-    assert sizing_digest(speculative) == sizing_digest(legacy)
-    assert compiled.history == legacy.history == speculative.history
+    assert compiled.history == legacy.history
     assert compiled.equation_evals == legacy.equation_evals
     # Wall-clock: the compiled kernel must clearly beat the legacy walk.
     assert compiled_rate >= 2.0 * legacy_rate
@@ -131,50 +116,3 @@ def test_equation_metric_stage_speedup():
     )
     assert speedup >= 3.0
 
-
-@pytest.mark.slow
-def test_speculation_earns_its_default():
-    """The shipped ``eval_speculation`` default must match the measurement.
-
-    PR 6 measured speculation on the chained DC kernel and shipped it off:
-    the warm-start-dependent DC walk cannot batch across proposals, so a
-    speculated batch only ties the serial walk and every discarded
-    proposal is pure loss.  PR 8's batched lockstep kernel removes exactly
-    that constraint — its cold-start trajectories are order-independent,
-    so a speculated batch solves its whole DC block in one lockstep call —
-    and the verdict flips *on that kernel only*.  The shipped default is
-    therefore ``SPECULATION_AUTO``: depth 8 under ``dc_kernel='batched'``,
-    0 under ``'chained'``, each side re-measured here against its own
-    hysteresis band (decisive win >= 1.10x to turn on, decisive loss
-    <= 0.95x to turn back off) so a noisy tie cannot flip either verdict.
-    """
-    assert FlowConfig.eval_speculation == SPECULATION_AUTO
-
-    verdicts = []
-    for dc_kernel in ("chained", "batched"):
-        plain, plain_rate = _synthesize("compiled", dc_kernel=dc_kernel)
-        speculative, speculative_rate = _synthesize(
-            "compiled", speculation=8, dc_kernel=dc_kernel
-        )
-        # Speculation stays bit-identical on both kernels.
-        assert sizing_digest(speculative) == sizing_digest(plain)
-        assert speculative.history == plain.history
-        speedup = speculative_rate / plain_rate
-        verdicts.append((dc_kernel, speedup))
-        print(
-            f"\nspeculation[{dc_kernel}]: plain {plain_rate:7.1f} cand/s, "
-            f"speculative {speculative_rate:7.1f} cand/s -> {speedup:.2f}x"
-        )
-
-    (_, chained_speedup), (_, batched_speedup) = verdicts
-    # Auto resolves to 0 on chained: fine unless speculation decisively
-    # wins there too (then auto should turn it on everywhere).
-    assert chained_speedup < 1.10, (
-        f"speculation now wins decisively on the chained kernel "
-        f"({chained_speedup:.2f}x); resolve auto to 'on' for both kernels"
-    )
-    # Auto resolves to 8 on batched: fine unless speculation lost its edge.
-    assert batched_speedup > 0.95, (
-        f"speculation lost its edge on the batched kernel "
-        f"({batched_speedup:.2f}x); resolve auto back to 0 there"
-    )

@@ -2,10 +2,10 @@
 
 The contract the unified observability layer ships with: `metrics` mode
 (the default) may not tax the hot evaluation path, and `trace` mode's
-span export stays cheap enough for production use.  The workload is the
-48-candidate DC staging pass from the ``dc_batch`` stage — the hottest
-instrumented loop in the repo (every Newton iteration bumps registry
-counters through the ``NEWTON_STATS`` view) — wrapped in one span per
+span export stays cheap enough for production use.  The workload is one
+48-candidate :meth:`~repro.synth.evaluator.HybridEvaluator.evaluate_batch`
+pass — the chained warm-start DC walk plus the fused AC solve every
+synthesis runs, with the template counters live — wrapped in one span per
 pass, exactly as the scheduler wraps each synthesis job.
 
 Three timed configurations, best-of-N walls:
@@ -46,7 +46,7 @@ def _workload(population: int):
     space = two_stage_space(mdac, CMOS025)
     rng = np.random.default_rng(17)
     sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled", dc_kernel="batched")
+    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
     return evaluator, sizings
 
 
@@ -71,7 +71,7 @@ def _interleaved_walls(fn, modes, configure, repeats: int) -> dict[str, float]:
     return {mode: min(samples) for mode, samples in walls.items()}
 
 
-#: Passes per timed sample — one pass is ~30 ms, too small for a stable
+#: Passes per timed sample — one pass is under 0.1 s, too small for a stable
 #: percentage; four amortize scheduler jitter without hiding the overhead.
 _INNER_LOOPS = 4
 
@@ -88,8 +88,8 @@ def run_obs_benchmark(population: int = 48, repeats: int = 9) -> dict:
     evaluator, sizings = _workload(population)
 
     def one_pass():
-        with span("bench.dc_pass", population=population):
-            evaluator._stage_batched(sizings)
+        with span("bench.eval_pass", population=population):
+            evaluator.evaluate_batch(sizings)
 
     previous_mode = metrics.telemetry_mode()
     spans_written = 0
@@ -116,8 +116,8 @@ def run_obs_benchmark(population: int = 48, repeats: int = 9) -> dict:
         return round((walls[mode] - walls["off"]) / walls["off"] * 100.0, 2)
 
     return {
-        "workload": f"{population}-candidate DC staging pass "
-                    f"(batched lockstep), best of {repeats}",
+        "workload": f"{population}-candidate evaluate_batch pass "
+                    f"(chained DC), best of {repeats}",
         "wall_off_s": round(walls["off"], 4),
         "wall_metrics_s": round(walls["metrics"], 4),
         "wall_trace_s": round(walls["trace"], 4),
@@ -134,10 +134,11 @@ def check_obs_report(report: dict) -> list[str]:
     if report["overhead_metrics_pct"] > 3.0:
         failures.append(
             "regression: metrics-mode telemetry over its 3% overhead "
-            f"floor on the DC workload ({report['overhead_metrics_pct']}%)"
+            "floor on the evaluation workload "
+            f"({report['overhead_metrics_pct']}%)"
         )
     if report["spans_written"] == 0:
-        failures.append("trace mode exported no spans on the DC workload")
+        failures.append("trace mode exported no spans on the evaluation workload")
     if report["overhead_trace_pct"] > 15.0:
         failures.append(
             "regression: trace-mode telemetry over its 15% sanity bound "

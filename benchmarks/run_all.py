@@ -10,37 +10,32 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
     PYTHONPATH=src python benchmarks/run_all.py --check ...    # exit 1 on
                                                                # regression
 
-The PR 3 stages (``synthesize_mdac`` / ``equation_metric_stage`` /
-``evaluate_batch`` / ``service``) carry forward unchanged, as do PR 6's
-``corner_tensor`` / ``template_cache``, PR 7's ``behavioral``, and PR 8's
-``dc_batch`` with its convergence telemetry and ``speculation`` receipts.
-PR 9 adds ``fabric``: the distributed execution fabric measured against a
-live HTTP broker and real ``repro-adc worker`` subprocesses — per-task
-lease overhead (submit/lease/heartbeat/ack round trip in milliseconds),
-fleet throughput at 1 vs 2 workers on fixed-service-time probe tasks
-(isolating dispatch concurrency from the runner's core count), sizing
-digests of a 2-worker synthesis batch against a local serial run, and
-the time for a SIGKILLed worker's lease to be reclaimed
-(see ``benchmarks/bench_fabric.py``).  PR 10 adds ``obs``: telemetry
-overhead on the 48-candidate DC workload — ``off`` vs ``metrics`` vs
-``trace`` walls measured round-robin, plus a registry counter micro-rate
-(see ``benchmarks/bench_obs.py``).
+Stages: ``synthesize_mdac``, ``equation_metric_stage`` and
+``evaluate_batch`` (compiled vs legacy kernels), ``template_cache``,
+``behavioral``, ``service``, ``fabric`` — the distributed execution
+fabric measured against a live HTTP broker and real ``repro-adc worker``
+subprocesses: per-task lease overhead (submit/lease/heartbeat/ack round
+trip in milliseconds), fleet throughput at 1 vs 2 workers on
+fixed-service-time probe tasks (isolating dispatch concurrency from the
+runner's core count), sizing digests of a 2-worker synthesis batch
+against a local serial run, and the time for a SIGKILLed worker's lease
+to be reclaimed (see ``benchmarks/bench_fabric.py``) — and ``obs``:
+telemetry overhead on a 48-candidate ``evaluate_batch`` pass, ``off`` vs
+``metrics`` vs ``trace`` walls measured round-robin, plus a registry
+counter micro-rate (see ``benchmarks/bench_obs.py``).
 
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the legacy path on the same workload, when any
-variant's synthesis result diverges (the bit-identity contract), when the
-fused corner tensor misses its speedup floor, when a warm template store
-still compiles, when the behavioral batch kernel is not bit-identical to
-the scalar walk or misses its 5x floor at 256 draws, when the ``dc_batch``
-stage misses its 1.5x floor, breaks winner-equivalence or its telemetry
-stops accounting for every population member, when either side of the
-speculation auto-default contradicts its measurement, when the service
-stage breaks its coalescing contract (N identical concurrent submissions
-must perform exactly one cold synthesis), or when the ``fabric`` stage
-misses its 1.5x two-worker throughput floor, diverges from the local
-serial run, or fails to reclaim a SIGKILLed worker's lease within 3x the
-lease TTL, or when the ``obs`` stage shows metrics-mode telemetry above
-its 3% overhead floor (or trace mode exporting nothing).
+variant's synthesis result diverges (the bit-identity contract), when a
+warm template store still compiles, when the behavioral batch kernel is
+not bit-identical to the scalar walk or misses its 5x floor at 256
+draws, when the service stage breaks its coalescing contract (N
+identical concurrent submissions must perform exactly one cold
+synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
+throughput floor, diverges from the local serial run, or fails to
+reclaim a SIGKILLed worker's lease within 3x the lease TTL, or when the
+``obs`` stage shows metrics-mode telemetry above its 3% overhead floor
+(or trace mode exporting nothing).
 
 A stage that *raises* is recorded in its JSON slot as ``{"error": ...}``
 and the run exits non-zero after writing the (partial) report — CI fails
@@ -61,7 +56,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
-from repro.analysis.dcbatch import NEWTON_STATS, reset_newton_stats
 from repro.analysis.mna import layout_cache_disabled
 from repro.analysis.template import (
     TEMPLATE_STATS,
@@ -71,15 +65,13 @@ from repro.analysis.template import (
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import draw_error_models
-from repro.engine.config import FlowConfig
 from repro.engine.persist import sizing_digest
 from repro.engine.threads import pin_blas_threads
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
-from repro.synth.evaluator import _AC_FREQS, CornerSetEvaluator
+from repro.synth.evaluator import _AC_FREQS
 from repro.tech import CMOS025
-from repro.tech.process import CMOS025_SLOW
 
 
 def _block_spec():
@@ -88,8 +80,7 @@ def _block_spec():
     return plan.mdacs[2]
 
 
-def _time_synthesize(kernel: str, budget: int, speculation: int = 0,
-                     seed_baseline: bool = False, dc_kernel: str = "chained"):
+def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
     mdac = _block_spec()
 
     def run():
@@ -101,8 +92,6 @@ def _time_synthesize(kernel: str, budget: int, speculation: int = 0,
             seed=1,
             verify_transient=False,
             kernel=kernel,
-            speculation=speculation,
-            dc_kernel=dc_kernel,
         )
         return result, time.perf_counter() - start
 
@@ -120,10 +109,9 @@ def stage_synthesize(budget: int) -> dict:
     """Full-candidate equation-evaluation throughput per kernel."""
     legacy, legacy_wall = _time_synthesize("legacy", budget, seed_baseline=True)
     compiled_, compiled_wall = _time_synthesize("compiled", budget)
-    speculative, spec_wall = _time_synthesize("compiled", budget, speculation=8)
     identical = (
-        sizing_digest(legacy) == sizing_digest(compiled_) == sizing_digest(speculative)
-        and legacy.history == compiled_.history == speculative.history
+        sizing_digest(legacy) == sizing_digest(compiled_)
+        and legacy.history == compiled_.history
         and legacy.equation_evals == compiled_.equation_evals
     )
     evals = compiled_.equation_evals
@@ -132,10 +120,8 @@ def stage_synthesize(budget: int) -> dict:
         "equation_evals": evals,
         "legacy_cands_per_s": round(evals / legacy_wall, 1),
         "compiled_cands_per_s": round(evals / compiled_wall, 1),
-        "speculative_cands_per_s": round(evals / spec_wall, 1),
         "wall_legacy_s": round(legacy_wall, 3),
         "wall_compiled_s": round(compiled_wall, 3),
-        "wall_speculative_s": round(spec_wall, 3),
         "speedup_full_candidate": round(legacy_wall / compiled_wall, 2),
         "identical_results": identical,
     }
@@ -215,166 +201,6 @@ def _results_match(a, b) -> bool:
         and a.violations == b.violations
         and a.power == b.power
     )
-
-
-def stage_corner_tensor(population: int) -> dict:
-    """Fused candidates×corners tensor solve vs per-corner loops.
-
-    Three variants over the same population and corner set:
-
-    * per-corner legacy walk — one ``evaluate`` call per (corner,
-      candidate), the PR 2 baseline the acceptance floor is measured
-      against;
-    * per-corner compiled batches — PR 3's ``evaluate_batch`` once per
-      corner (what a caller could already write by hand);
-    * fused — one :class:`CornerSetEvaluator.evaluate_batch` staging the
-      whole candidates×corners×freq tensor through a single chunked
-      ``np.linalg.solve`` stream.
-    """
-    mdac = _block_spec()
-    space = two_stage_space(mdac, CMOS025)
-    corners = [CMOS025, CMOS025_SLOW]
-    rng = np.random.default_rng(11)
-    sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-
-    def percorner_legacy():
-        grid = []
-        for tech in corners:
-            # One evaluator per corner: the sequential walk must keep its
-            # DC warm-start chain, like the fused path keeps per corner.
-            evaluator = HybridEvaluator(mdac, tech, kernel="legacy")
-            grid.append([evaluator.evaluate(s) for s in sizings])
-        return grid
-
-    def percorner_batches():
-        return [
-            HybridEvaluator(mdac, tech, kernel="compiled").evaluate_batch(sizings)
-            for tech in corners
-        ]
-
-    def fused():
-        return CornerSetEvaluator(mdac, corners).evaluate_batch(sizings)
-
-    def timed(fn):
-        fn()  # warm module-level layout/template caches
-        start = time.perf_counter()
-        results = fn()
-        return results, time.perf_counter() - start
-
-    legacy_grid, legacy_wall = timed(percorner_legacy)
-    batch_grid, batch_wall = timed(percorner_batches)
-    fused_grid, fused_wall = timed(fused)
-    identical = all(
-        _results_match(a, b) and _results_match(a, c)
-        for la, lb, lc in zip(legacy_grid, batch_grid, fused_grid)
-        for a, b, c in zip(la, lb, lc)
-    )
-    cells = population * len(corners)
-    return {
-        "workload": f"{population} candidates x {len(corners)} corners "
-                    f"({cells} evaluations)",
-        "percorner_legacy_cands_per_s": round(cells / legacy_wall, 1),
-        "percorner_batch_cands_per_s": round(cells / batch_wall, 1),
-        "fused_cands_per_s": round(cells / fused_wall, 1),
-        "speedup_fused_vs_percorner_legacy": round(legacy_wall / fused_wall, 2),
-        "speedup_fused_vs_percorner_batches": round(batch_wall / fused_wall, 2),
-        "identical_results": identical,
-    }
-
-
-def stage_dc_batch(population: int) -> dict:
-    """Population lockstep DC Newton vs the chained warm-start walk.
-
-    The acceptance workload: ``population`` random candidates through the
-    sequential half of an evaluation (bench build + DC Newton + power
-    read-out + linearization).  The chained side walks them one at a time
-    through ``HybridEvaluator._stage_equation`` with its warm-start chain;
-    the batched side stages the identical list through one
-    ``solve_dc_batch`` lockstep block.  The kernels are *not*
-    bit-identical (cold-start lockstep trajectories differ from the warm
-    chain), so equivalence is checked the way campaigns consume results:
-    both kernels must score the same feasibility set and pick the same
-    argmin-cost winner on full evaluations, with finite costs close in
-    relative terms.  The batched pass's Newton telemetry is embedded so
-    ``--check`` can assert the counters account for every member.
-    """
-    mdac = _block_spec()
-    space = two_stage_space(mdac, CMOS025)
-    rng = np.random.default_rng(17)
-    sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-
-    chained = HybridEvaluator(mdac, CMOS025, kernel="compiled")
-    batched = HybridEvaluator(mdac, CMOS025, kernel="compiled",
-                              dc_kernel="batched")
-
-    def chained_pass():
-        chained._warm_x = None  # each pass walks a fresh population
-        return [chained._stage_equation(s) for s in sizings]
-
-    def batched_pass():
-        return batched._stage_batched(sizings)
-
-    def best_wall(fn, repeats=5):
-        fn()  # warm layout/template caches
-        walls = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            walls.append(time.perf_counter() - start)
-        return min(walls)
-
-    chained_wall = best_wall(chained_pass)
-    reset_newton_stats()
-    batched_wall = best_wall(batched_pass)
-    telemetry = dict(NEWTON_STATS)
-
-    # Winner-equivalence on full evaluations through fresh evaluators.
-    res_chained = HybridEvaluator(mdac, CMOS025).evaluate_batch(sizings)
-    res_batched = HybridEvaluator(
-        mdac, CMOS025, dc_kernel="batched"
-    ).evaluate_batch(sizings)
-    costs_chained = [r.cost() for r in res_chained]
-    costs_batched = [r.cost() for r in res_batched]
-    winner_chained = int(np.argmin(costs_chained))
-    winner_batched = int(np.argmin(costs_batched))
-    feasibility_agrees = all(
-        np.isfinite(a) == np.isfinite(b)
-        for a, b in zip(costs_chained, costs_batched)
-    )
-    finite = [
-        (a, b) for a, b in zip(costs_chained, costs_batched)
-        if np.isfinite(a) and np.isfinite(b)
-    ]
-    max_rel_cost_diff = max(
-        (abs(a - b) / max(abs(a), abs(b)) for a, b in finite), default=0.0
-    )
-    # The lockstep counters must account for every member of every
-    # measured pass (best_wall runs 1 warm + 5 measured passes): a member
-    # either converges in lockstep or takes the scalar fallback
-    # (``failures`` being the subset of fallbacks that also lost the
-    # scalar walk).
-    passes = 6
-    telemetry_accounts = (
-        telemetry["lockstep_members"] == passes * population
-        and telemetry["converged"] + telemetry["fallbacks"]
-        == telemetry["lockstep_members"]
-    )
-    return {
-        "workload": f"{population}-candidate DC staging "
-                    "(bench + Newton + linearize), best of 5",
-        "chained_cands_per_s": round(population / chained_wall, 1),
-        "batched_cands_per_s": round(population / batched_wall, 1),
-        "wall_chained_s": round(chained_wall, 4),
-        "wall_batched_s": round(batched_wall, 4),
-        "speedup_dc_stage": round(chained_wall / batched_wall, 2),
-        "winner_chained": winner_chained,
-        "winner_batched": winner_batched,
-        "winner_equivalent": winner_chained == winner_batched,
-        "feasibility_agrees": feasibility_agrees,
-        "max_rel_cost_diff": float(max_rel_cost_diff),
-        "telemetry": telemetry,
-        "telemetry_accounts_for_members": telemetry_accounts,
-    }
 
 
 def stage_template_cache() -> dict:
@@ -471,55 +297,6 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     }
 
 
-def stage_speculation(synth: dict, budget: int) -> dict:
-    """Does speculation earn a default?  Receipts for the shipped value.
-
-    The shipped default is ``SPECULATION_AUTO``: ``synthesize_mdac``
-    resolves it per DC kernel — off under the chained warm-start walk
-    (whose DC stage cannot batch across proposals), depth 8 under the
-    batched lockstep kernel (whose cold-start block solve can).  Both
-    sides are re-measured here: the chained pair reuses the
-    ``synthesize_mdac`` walls, the batched pair runs fresh, and each
-    verdict gets its own ~10% hysteresis band so a noisy tie can't flip
-    it either way.
-    """
-    if "error" in synth:
-        raise RuntimeError("synthesize_mdac stage failed; no walls to compare")
-    chained_speedup = round(
-        synth["wall_compiled_s"] / synth["wall_speculative_s"], 3
-    )
-    plain_b, plain_b_wall = _time_synthesize(
-        "compiled", budget, dc_kernel="batched"
-    )
-    spec_b, spec_b_wall = _time_synthesize(
-        "compiled", budget, speculation=8, dc_kernel="batched"
-    )
-    batched_speedup = round(plain_b_wall / spec_b_wall, 3)
-    batched_identical = (
-        sizing_digest(plain_b) == sizing_digest(spec_b)
-        and plain_b.history == spec_b.history
-    )
-    default = FlowConfig.eval_speculation
-    # Auto (< 0) resolves per kernel; each side checks its own band.
-    chained_on = default > 1
-    batched_on = default > 1 or default < 0
-    chained_ok = chained_speedup > 0.95 if chained_on else chained_speedup < 1.10
-    batched_ok = batched_speedup > 0.95 if batched_on else batched_speedup < 1.10
-    return {
-        "workload": synth["workload"] + " (chained walls shared with "
-                    "synthesize_mdac; batched pair measured fresh)",
-        "wall_plain_chained_s": synth["wall_compiled_s"],
-        "wall_speculative_chained_s": synth["wall_speculative_s"],
-        "speedup_speculative_chained": chained_speedup,
-        "wall_plain_batched_s": round(plain_b_wall, 3),
-        "wall_speculative_batched_s": round(spec_b_wall, 3),
-        "speedup_speculative_batched": batched_speedup,
-        "default_eval_speculation": default,
-        "default_matches_measurement": chained_ok and batched_ok,
-        "identical_results": synth["identical_results"] and batched_identical,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -545,10 +322,6 @@ def main(argv=None) -> int:
     # capture length, never the draw count the 5x floor is defined at.
     behavioral_draws = 256
     behavioral_samples = 512 if args.smoke else 2048
-    # Same story for the DC lockstep: its 1.5x floor is defined at the
-    # 48-candidate population (amortization shrinks with the block), so
-    # smoke keeps the full population — the stage runs in ~0.5 s anyway.
-    dc_population = 48
 
     # Each stage runs in its own guard: a raising benchmark must not
     # silently truncate the JSON.  The error is recorded in the stage's
@@ -573,23 +346,15 @@ def main(argv=None) -> int:
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
         "evaluate_batch": lambda: stage_batch_api(population),
-        "corner_tensor": lambda: stage_corner_tensor(population),
-        "dc_batch": lambda: stage_dc_batch(dc_population),
         "template_cache": stage_template_cache,
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
         ),
-        # Runs after synthesize_mdac (dict order) and reuses its walls.
-        "speculation": lambda: stage_speculation(
-            stages["synthesize_mdac"], budget
-        ),
         "service": lambda: run_service_benchmark(identical, distinct),
         "fabric": lambda: run_fabric_benchmark(**fabric_kwargs),
-        # Telemetry overhead holds its floor at the full DC population;
-        # smoke trims only the sample count.
-        "obs": lambda: run_obs_benchmark(
-            dc_population, repeats=5 if args.smoke else 9
-        ),
+        # Telemetry overhead holds its floor at the full 48-candidate
+        # population; smoke trims only the sample count.
+        "obs": lambda: run_obs_benchmark(48, repeats=5 if args.smoke else 9),
     }
     stages: dict[str, dict] = {}
     stage_errors: list[str] = []
@@ -625,25 +390,16 @@ def main(argv=None) -> int:
 
     synth = report["stages"]["synthesize_mdac"]
     eqn = report["stages"]["equation_metric_stage"]
-    corner = report["stages"]["corner_tensor"]
-    dc_batch = report["stages"]["dc_batch"]
     template = report["stages"]["template_cache"]
     behavioral = report["stages"]["behavioral"]
-    speculation = report["stages"]["speculation"]
     service = report["stages"]["service"]
     fabric = report["stages"]["fabric"]
     obs = report["stages"]["obs"]
     print(
         f"\nfull-candidate speedup: {synth['speedup_full_candidate']}x, "
         f"equation-metric stage: {eqn['speedup']}x, "
-        f"corner tensor: {corner['speedup_fused_vs_percorner_legacy']}x, "
-        f"dc batch: {dc_batch['speedup_dc_stage']}x "
-        f"(winner-equivalent={dc_batch['winner_equivalent']}), "
         f"warm template compiles: {template['warm_compiled']}, "
         f"behavioral batch: {behavioral['speedup']}x, "
-        f"speculation: {speculation['speedup_speculative_chained']}x chained / "
-        f"{speculation['speedup_speculative_batched']}x batched "
-        f"(default={speculation['default_eval_speculation']}), "
         f"service: {service['coalescing']['submissions']} identical submissions "
         f"-> {service['coalescing']['cold_synthesis_runs']} cold synthesis, "
         f"{service['throughput']['jobs_per_s']} jobs/s, "
@@ -666,36 +422,6 @@ def main(argv=None) -> int:
                 "regression: compiled kernel slower than legacy on the "
                 f"smoke workload ({synth['speedup_full_candidate']}x)"
             )
-        if not corner["identical_results"]:
-            failures.append(
-                "fused corner tensor diverged from the per-corner walks"
-            )
-        if corner["speedup_fused_vs_percorner_legacy"] < 1.5:
-            failures.append(
-                "regression: fused candidates x corners solve under its "
-                "1.5x floor vs per-corner legacy loops "
-                f"({corner['speedup_fused_vs_percorner_legacy']}x)"
-            )
-        if dc_batch["speedup_dc_stage"] < 1.5:
-            failures.append(
-                "regression: batched DC lockstep under its 1.5x floor vs "
-                f"the chained warm-start walk ({dc_batch['speedup_dc_stage']}x)"
-            )
-        if not dc_batch["winner_equivalent"]:
-            failures.append(
-                "batched DC kernel picked a different population winner "
-                f"(chained #{dc_batch['winner_chained']} vs batched "
-                f"#{dc_batch['winner_batched']})"
-            )
-        if not dc_batch["feasibility_agrees"]:
-            failures.append(
-                "batched DC kernel disagrees with chained on feasibility"
-            )
-        if not dc_batch["telemetry_accounts_for_members"]:
-            failures.append(
-                "Newton telemetry does not account for every lockstep "
-                f"member ({dc_batch['telemetry']})"
-            )
         if template["warm_compiled"] != 0:
             failures.append(
                 "template store miss: a warm worker still compiled "
@@ -711,16 +437,6 @@ def main(argv=None) -> int:
             failures.append(
                 "regression: behavioral batch kernel under its 5x floor "
                 f"at 256 draws ({behavioral['speedup']}x)"
-            )
-        if not speculation["identical_results"]:
-            failures.append("speculation diverged from the plain walk")
-        if not speculation["default_matches_measurement"]:
-            failures.append(
-                "shipped FlowConfig.eval_speculation="
-                f"{speculation['default_eval_speculation']} contradicts the "
-                f"measurement ({speculation['speedup_speculative_chained']}x "
-                f"chained / {speculation['speedup_speculative_batched']}x "
-                "batched, speculative vs plain)"
             )
         failures.extend(check_service_report(service))
         failures.extend(check_fabric_report(fabric))

@@ -3,12 +3,14 @@
 Poles are the finite generalized eigenvalues ``s`` of ``(G + sC) x = 0``.
 Zeros of a specific input->output transfer come from the Rosenbrock system
 matrix: append the input column and output row and solve the same pencil.
+
+``scipy.linalg`` is imported inside the two solvers: the campaign flow
+never extracts poles or zeros, so the CLI does not pay scipy's import time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.analysis.mna import GROUND
 from repro.analysis.smallsignal import LinearizedCircuit
@@ -20,6 +22,8 @@ _INFINITY_CUTOFF = 1e18
 
 def poles(linear: LinearizedCircuit) -> np.ndarray:
     """Finite natural frequencies (poles) of the linearized circuit [rad/s]."""
+    import scipy.linalg
+
     g, c = linear.g_matrix, linear.c_matrix
     # (G + sC)x = 0  ->  G x = -s C x: pencil (G, -C).
     eigvals = scipy.linalg.eigvals(g, -c)
@@ -37,6 +41,8 @@ def zeros(
     Builds the Rosenbrock pencil ``[[G + sC, b], [c^T, 0]]`` whose finite
     generalized eigenvalues are the transfer zeros.
     """
+    import scipy.linalg
+
     i = linear.index(output_net)
     if i == GROUND:
         raise AnalysisError("output_net must not be ground")

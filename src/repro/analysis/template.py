@@ -18,11 +18,7 @@ This module compiles a circuit *topology* once into flat stamp programs:
   circuit's element values, producing a :class:`BoundMna` whose
   :meth:`~BoundMna.assemble` and :meth:`~BoundMna.linearize` rebuild the
   Newton system / small-signal matrices with a handful of vectorized
-  gathers and two ``np.add.at`` scatters;
-* :class:`BoundMnaStack` binds one template to a whole *corner set* of
-  same-topology circuits at once — its value-slot rebinding carries a
-  leading corner dimension, so a candidates×corners evaluation can fill
-  every corner's small-signal system from one structure walk.
+  gathers and two ``np.add.at`` scatters.
 
 Value slots are pure data — ``(opcode, element name, negate)`` triples
 evaluated by :func:`_slot_value` — so a compiled template is picklable.
@@ -655,10 +651,6 @@ class MnaTemplate:
             )
         return BoundMna(self, circuit)
 
-    def bind_stack(self, circuits: "list[Circuit]") -> "BoundMnaStack":
-        """Bind one template to a corner set of same-topology circuits."""
-        return BoundMnaStack(self, circuits)
-
 
 class BoundMna:
     """A template bound to one circuit's element values.
@@ -852,124 +844,6 @@ class BoundMna:
         )
 
 
-class BoundMnaStack:
-    """One template bound to a *corner set* of same-topology circuits.
-
-    The value-slot rebinding carries a leading corner dimension: every
-    constant buffer becomes ``(n_corners, n_slots)`` and
-    :meth:`linearize` fills every corner's small-signal system in one
-    pass, returning per-corner :class:`~repro.analysis.smallsignal.LinearizedCircuit`
-    objects whose matrices are bit-identical to the single-corner
-    :meth:`BoundMna.linearize` results (each corner's scatter replays the
-    same ordered program).  DC solves stay per-corner — each corner's
-    Newton/homotopy warm-start chain is an independent state machine — via
-    the :attr:`corners` sub-bindings.
-    """
-
-    def __init__(
-        self,
-        template: MnaTemplate,
-        circuits: "list[Circuit] | None" = None,
-        bounds: "list[BoundMna] | None" = None,
-    ):
-        if (circuits is None) == (bounds is None):
-            raise AnalysisError(
-                "BoundMnaStack takes exactly one of circuits= or bounds="
-            )
-        self.template = template
-        #: Per-corner :class:`BoundMna` bindings (the DC path).
-        self.corners = (
-            [template.bind(c) for c in circuits]
-            if bounds is None
-            else list(bounds)
-        )
-        t = template
-        n_corners = len(self.corners)
-        self.n_corners = n_corners
-        # Corner-stacked small-signal value buffers.
-        self._gv_stack = np.zeros((n_corners, len(t._gr)))
-        self._cv_stack = np.zeros((n_corners, len(t._cr)))
-        self._b_ac_stack = np.zeros((n_corners, t.size), dtype=complex)
-        self.refresh()
-
-    @classmethod
-    def from_bounds(cls, bounds: "list[BoundMna]") -> "BoundMnaStack":
-        """Stack already-bound corners (e.g. per-corner evaluator bindings)."""
-        if not bounds:
-            raise AnalysisError("BoundMnaStack needs at least one binding")
-        return cls(bounds[0].template, bounds=bounds)
-
-    def refresh(self) -> "BoundMnaStack":
-        """Pull every corner's current slot values into the stacked buffers."""
-        for c, bound in enumerate(self.corners):
-            self._gv_stack[c] = bound._gv
-            self._cv_stack[c] = bound._cv
-            self._b_ac_stack[c] = bound._b_ac
-        return self
-
-    def rebind(self, circuits: "list[Circuit]") -> "BoundMnaStack":
-        """Refresh every corner's value slots (corner-dimension rebinding)."""
-        if len(circuits) != self.n_corners:
-            raise AnalysisError(
-                f"corner count changed: bound {self.n_corners}, "
-                f"got {len(circuits)}"
-            )
-        for bound, circuit in zip(self.corners, circuits):
-            if bound.circuit is not circuit:
-                bound.rebind(circuit)
-        return self.refresh()
-
-    def linearize(self, ops) -> "list[LinearizedCircuit]":
-        """Per-corner linearizations from per-corner DC solutions.
-
-        ``ops`` is one :class:`~repro.analysis.dc.DcSolution` per corner.
-        Each corner's matrices equal its :meth:`BoundMna.linearize` output
-        bit for bit; the stacked buffers only batch the slot refresh.
-        """
-        t = self.template
-        n = t.size
-        if len(ops) != self.n_corners:
-            raise AnalysisError(
-                f"expected {self.n_corners} operating points, got {len(ops)}"
-            )
-        g_stack = np.zeros((self.n_corners, n, n))
-        c_stack = np.zeros((self.n_corners, n, n))
-        out = []
-        for c, (bound, op) in enumerate(zip(self.corners, ops)):
-            kindvals = bound._kindvals
-            capvals = np.zeros((len(_CAP_KINDS), max(len(bound._mosfets), 1)))
-            for dev, element in enumerate(bound._mosfets):
-                device_op = op.device_ops[element.name]
-                kindvals[_KIND_GM, dev] = device_op.gm
-                kindvals[_KIND_GDS, dev] = device_op.gds
-                kindvals[_KIND_GMB, dev] = device_op.gmb
-                for kind, attr in enumerate(_CAP_KINDS):
-                    capvals[kind, dev] = getattr(device_op, attr)
-            gv = self._gv_stack[c]
-            if len(t._g_mos_pos):
-                gv[t._g_mos_pos] = (
-                    t._g_mos_sign * kindvals[t._g_mos_kind, t._g_mos_dev]
-                )
-            np.add.at(g_stack[c], (t._gr, t._gc), gv)
-            cv = self._cv_stack[c]
-            if len(t._c_mos_pos):
-                cv[t._c_mos_pos] = (
-                    t._c_mos_sign * capvals[t._c_mos_kind, t._c_mos_dev]
-                )
-            np.add.at(c_stack[c], (t._cr, t._cc), cv)
-            out.append(
-                LinearizedCircuit(
-                    layout=bound.layout,
-                    g_matrix=g_stack[c],
-                    c_matrix=c_stack[c],
-                    b_ac=self._b_ac_stack[c].copy(),
-                    op=op,
-                    noise_sources=[],
-                )
-            )
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Template cache + cross-process persistence.
 # ---------------------------------------------------------------------------
@@ -1092,7 +966,6 @@ def bind_template(circuit: Circuit, store: TemplateStore | None = None) -> Bound
 
 __all__ = [
     "BoundMna",
-    "BoundMnaStack",
     "MnaTemplate",
     "TemplateStore",
     "TEMPLATE_STATS",

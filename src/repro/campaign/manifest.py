@@ -16,14 +16,11 @@ that sequence this store covers.  Two operations consume it:
 
 Only *result-relevant* configuration enters the config digest: budgets,
 seeds (the synthesis seeds *and* the behavioral Monte-Carlo seed/draw
-count — behavioral records are a function of both), the verification
-flag, and the DC Newton kernel (``dc_kernel`` — the batched lockstep
-kernel's cold-start trajectories differ from the chained warm walk, so
-records are *not* interchangeable across it).  Execution knobs (backend,
-workers, eval kernel, behavioral kernel, speculation) are excluded for
-the same reason they are excluded
-from block fingerprints — records are byte-identical across them — so a
-campaign may be interrupted under one backend and resumed under another.
+count — behavioral records are a function of both) and the verification
+flag.  Execution knobs (backend, workers, eval kernel, behavioral kernel)
+are excluded for the same reason they are excluded from block
+fingerprints — records are byte-identical across them — so a campaign
+may be interrupted under one backend and resumed under another.
 ``cache_dir`` is also excluded, but for a different reason: it is a host
 path, and pinning it would break resuming a store from another checkout
 or machine.  The byte-identity caveat that already applies across
@@ -71,7 +68,8 @@ def config_digest(config: FlowConfig) -> str:
             "verify_transient": bool(config.verify_transient),
             "behavioral_draws": config.behavioral_draws,
             "behavioral_seed": config.behavioral_seed,
-            "dc_kernel": config.dc_kernel,
+            # Knob removed; the literal keeps every v3 store's digest valid.
+            "dc_kernel": "chained",
         }
     )
 

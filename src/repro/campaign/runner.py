@@ -773,8 +773,6 @@ def run_campaign(
                                         retarget_seed=config.retarget_seed,
                                         verify_transient=config.verify_transient,
                                         eval_kernel=config.eval_kernel,
-                                        eval_speculation=config.eval_speculation,
-                                        dc_kernel=config.dc_kernel,
                                         donor_pool=ledger.donors_for(
                                             scenario.spec.tech.name
                                         ),

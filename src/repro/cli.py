@@ -82,12 +82,7 @@ execution engine (every flow command):
   evaluation budgets; --no-verify skips the transient verifier.
   --eval-kernel picks the equation-evaluation kernel (compiled MNA
   templates + batched AC solves by default; 'legacy' is the reference
-  walk — results are bit-identical, see docs/performance.md) and
-  --speculation caps the optimizers' speculative proposal batches
-  (default auto: on under --dc-kernel batched, off under chained — the
-  measured break-evens; --no-speculation forces it off).  --dc-kernel
-  picks the DC Newton kernel (chained warm-start walk by default;
-  'batched' solves whole populations in lockstep — NOT result-identical).
+  walk — results are bit-identical, see docs/performance.md).
   The same knobs form FlowConfig in the Python API.
 
 campaigns:
@@ -195,34 +190,6 @@ def _engine_parent() -> argparse.ArgumentParser:
         "per-element walk for A/B timing — results are bit-identical)",
     )
     group.add_argument(
-        "--speculation",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="speculative proposal-batch depth cap for the optimizers "
-        "(default: auto — depth 8 under --dc-kernel batched, where the "
-        "lockstep solve batches DC across proposals, off under chained "
-        "where it loses; see docs/performance.md; the adaptive controller "
-        "sizes batches below DEPTH; results are bit-identical either way)",
-    )
-    group.add_argument(
-        "--no-speculation",
-        action="store_true",
-        help="force speculation off, overriding --speculation and any "
-        "config default (escape hatch if a future default flips it on)",
-    )
-    group.add_argument(
-        "--dc-kernel",
-        choices=("chained", "batched"),
-        default="chained",
-        help="DC Newton kernel (default: chained per-candidate warm-start "
-        "walk; 'batched' iterates the whole population in lockstep with "
-        "masked convergence — NOT result-identical: cold-start "
-        "trajectories differ from the warm chain, so caches, queue acks "
-        "and campaign manifests keyed under one kernel never serve the "
-        "other; see docs/performance.md)",
-    )
-    group.add_argument(
         "--queue-dir",
         default=None,
         metavar="DIR",
@@ -294,19 +261,6 @@ def _grid_from_args(args: argparse.Namespace) -> CampaignGrid:
     )
 
 
-def _resolve_speculation(args: argparse.Namespace) -> int:
-    """Effective speculation depth from the flag pair.
-
-    ``--no-speculation`` always wins; an unset ``--speculation`` falls
-    back to the library default (:attr:`FlowConfig.eval_speculation`).
-    """
-    if getattr(args, "no_speculation", False):
-        return 0
-    if args.speculation is None:
-        return FlowConfig.eval_speculation
-    return args.speculation
-
-
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
     """Assemble the FlowConfig from parsed engine flags."""
     if args.queue_dir is not None and args.backend not in ("queue", "broker"):
@@ -346,8 +300,6 @@ def _flow_config(args: argparse.Namespace) -> FlowConfig:
         retarget_budget=args.retarget_budget,
         verify_transient=not args.no_verify,
         eval_kernel=args.eval_kernel,
-        eval_speculation=_resolve_speculation(args),
-        dc_kernel=getattr(args, "dc_kernel", "chained"),
         # Behavioral flags only exist on the campaign/submit parsers; the
         # figure commands fall back to the library defaults.
         behavioral_draws=getattr(
@@ -659,15 +611,6 @@ def main(argv: list[str] | None = None) -> int:
     p_submit.add_argument("--no-verify", action="store_true")
     p_submit.add_argument(
         "--eval-kernel", choices=("compiled", "legacy"), default="compiled"
-    )
-    p_submit.add_argument("--speculation", type=int, default=None)
-    p_submit.add_argument("--no-speculation", action="store_true")
-    p_submit.add_argument(
-        "--dc-kernel",
-        choices=("chained", "batched"),
-        default="chained",
-        help="DC Newton kernel (part of the job's coalescing digest — "
-        "batched and chained jobs never coalesce)",
     )
     p_submit.add_argument(
         "--telemetry",
@@ -1045,8 +988,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
         "retarget_budget": args.retarget_budget,
         "verify_transient": not args.no_verify,
         "eval_kernel": args.eval_kernel,
-        "eval_speculation": _resolve_speculation(args),
-        "dc_kernel": args.dc_kernel,
         "behavioral_draws": args.behavioral_draws,
         "behavioral_seed": args.seed,
         "behavioral_kernel": args.behavioral_kernel,

@@ -36,6 +36,10 @@ from repro.errors import SpecificationError
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: Tasks handed to each process-pool worker per dispatch.  Synthesis tasks
+#: run for seconds, so batching dispatches would only unbalance the pool.
+_CHUNKSIZE = 1
+
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
@@ -85,14 +89,11 @@ class _PooledBackend:
     name: str
     executor_cls: type
 
-    def __init__(self, max_workers: int | None = None, chunksize: int = 1):
+    def __init__(self, max_workers: int | None = None):
         """``max_workers=None`` means one worker per CPU."""
         if max_workers is not None and max_workers < 1:
             raise SpecificationError("max_workers must be >= 1")
-        if chunksize < 1:
-            raise SpecificationError("chunksize must be >= 1")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.chunksize = chunksize
         self._executor = None
 
     def _pool(self):
@@ -113,7 +114,7 @@ class _PooledBackend:
         task_list: Sequence[T] = list(tasks)
         if len(task_list) <= 1 or self.max_workers == 1:
             return [fn(task) for task in task_list]
-        return list(self._pool().map(fn, task_list, chunksize=self.chunksize))
+        return list(self._pool().map(fn, task_list, chunksize=_CHUNKSIZE))
 
     def close(self) -> None:
         """Shut the pool down; idempotent."""
@@ -133,8 +134,7 @@ class ProcessPoolBackend(_PooledBackend):
 
     Task functions must be importable module-level callables and tasks must
     be picklable — every task dataclass in :mod:`repro.engine.scheduler`
-    satisfies this.  ``chunksize`` batches tasks per worker dispatch to
-    amortize pickling.
+    satisfies this.
     """
 
     name = "process"
@@ -151,26 +151,22 @@ class ThreadPoolBackend(_PooledBackend):
     the GIL still serializes; use ``ProcessPoolBackend`` for that.  Every
     task function used by the engine is reentrant (per-call
     ``numpy.random.default_rng`` state, no shared mutables), so threaded
-    maps return the same values as serial ones.  ``chunksize`` is accepted
-    for interface parity but has no effect on a thread pool.
+    maps return the same values as serial ones.
     """
 
     name = "thread"
     executor_cls = ThreadPoolExecutor
 
 
-def _make_queue_backend(max_workers=None, chunksize=1, queue_dir=None):
+def _make_queue_backend(max_workers=None, queue_dir=None):
     """Factory for the file-backed work-queue backend (lazy import)."""
     from repro.engine.workqueue import QueueBackend
 
-    return QueueBackend(
-        max_workers=max_workers, chunksize=chunksize, queue_dir=queue_dir
-    )
+    return QueueBackend(max_workers=max_workers, queue_dir=queue_dir)
 
 
 def _make_broker_backend(
-    max_workers=None, chunksize=1, queue_dir=None, broker_url=None,
-    wait_timeout=None,
+    max_workers=None, queue_dir=None, broker_url=None, wait_timeout=None
 ):
     """Factory for the distributed broker backend (lazy import).
 
@@ -188,7 +184,6 @@ def _make_broker_backend(
         broker_url=broker_url,
         queue_dir=queue_dir,
         max_workers=max_workers,
-        chunksize=chunksize,
         wait_timeout=wait_timeout,
     )
 
@@ -199,7 +194,7 @@ def _make_broker_backend(
 #: accept a ``queue_dir`` / ``broker_url`` keyword receive the matching
 #: :class:`FlowConfig` field.
 BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
-    "serial": lambda max_workers=None, chunksize=1: SerialBackend(),
+    "serial": lambda max_workers=None: SerialBackend(),
     "thread": ThreadPoolBackend,
     "process": ProcessPoolBackend,
     "queue": _make_queue_backend,
@@ -210,7 +205,6 @@ BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
 def make_backend(
     name: str,
     max_workers: int | None = None,
-    chunksize: int = 1,
     queue_dir: str | None = None,
     broker_url: str | None = None,
     wait_timeout: float | None = None,
@@ -228,7 +222,7 @@ def make_backend(
         raise SpecificationError(
             f"unknown execution backend {name!r} (known: {known})"
         ) from None
-    kwargs: dict[str, Any] = {"max_workers": max_workers, "chunksize": chunksize}
+    kwargs: dict[str, Any] = {"max_workers": max_workers}
     try:
         params = inspect.signature(factory).parameters
     except (TypeError, ValueError):
@@ -257,7 +251,6 @@ def create_backend(name: str, config: Any = None) -> ExecutionBackend:
     return make_backend(
         name,
         max_workers=getattr(config, "max_workers", None),
-        chunksize=getattr(config, "chunksize", 1),
         queue_dir=getattr(config, "queue_dir", None),
         broker_url=getattr(config, "broker_url", None),
         wait_timeout=getattr(config, "broker_wait_timeout", None),

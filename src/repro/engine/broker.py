@@ -864,7 +864,6 @@ class BrokerBackend:
         broker_url: str | None = None,
         queue_dir: str | Path | None = None,
         max_workers: int | None = None,  # registry parity; workers are remote
-        chunksize: int = 1,  # registry parity; the broker doesn't batch
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_interval: float = 0.05,
         wait_timeout: float | None = DEFAULT_WAIT_TIMEOUT,

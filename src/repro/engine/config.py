@@ -19,11 +19,6 @@ if TYPE_CHECKING:
     from repro.flow.cache import BlockCache
     from repro.tech.process import Technology
 
-#: Sentinel for ``eval_speculation``: let synthesis pick the depth from the
-#: DC kernel.  Any negative value means "auto"; this is the canonical one.
-SPECULATION_AUTO = -1
-
-
 @dataclass(frozen=True)
 class FlowConfig:
     """Execution and synthesis configuration for one flow invocation."""
@@ -33,8 +28,6 @@ class FlowConfig:
     backend: str = "serial"
     #: Worker count for pooled backends (``None`` = one per CPU).
     max_workers: int | None = None
-    #: Tasks handed to each pool worker per dispatch.
-    chunksize: int = 1
     #: Directory for the 'queue' backend's lease/ack files; ``None`` lets
     #: the backend use an ephemeral temporary directory (functional, but
     #: task acks do not survive the process).  The campaign runner points
@@ -72,21 +65,6 @@ class FlowConfig:
     #: per-element walk).  Bit-identical results either way — this is a
     #: pure speed knob (see docs/performance.md).
     eval_kernel: str = "compiled"
-    #: Speculative proposal-batch depth for the optimizers.  Bit-identical
-    #: results at any depth — a pure execution knob.  The default
-    #: :data:`SPECULATION_AUTO` resolves per DC kernel at synthesis time:
-    #: depth 8 under ``dc_kernel='batched'``, where the lockstep solve
-    #: batches the DC stage across speculated proposals (~1.2x, the
-    #: BENCH_PR10.json ``speculation`` receipt), and 0 under ``'chained'``,
-    #: whose warm-start walk cannot batch DC (~0.8x).  Explicit
-    #: non-negative values override the auto choice.
-    eval_speculation: int = SPECULATION_AUTO
-    #: DC Newton kernel: 'chained' (per-candidate warm-start walk, the
-    #: default) or 'batched' (population lockstep with masked convergence,
-    #: cold starts).  Unlike ``eval_kernel`` this changes the Newton
-    #: trajectories — it is part of campaign *result identity* and enters
-    #: the manifest/fingerprint digests (see docs/performance.md).
-    dc_kernel: str = "chained"
     #: Monte-Carlo mismatch draws per behavioral scenario.
     behavioral_draws: int = 32
     #: Seed for the behavioral draw tree (parameter + noise streams).
@@ -122,8 +100,6 @@ class FlowConfig:
             retarget_seed=self.retarget_seed,
             verify_transient=self.verify_transient,
             eval_kernel=self.eval_kernel,
-            eval_speculation=self.eval_speculation,
-            dc_kernel=self.dc_kernel,
         )
         if self.cache_dir is not None:
             return PersistentBlockCache(cache_dir=self.cache_dir, **kwargs)

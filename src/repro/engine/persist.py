@@ -86,15 +86,11 @@ def block_fingerprint(
     donor: Any = None,
     retarget_budget: int = 0,
     retarget_seed: int = 0,
-    dc_kernel: str = "chained",
 ) -> str:
     """Content fingerprint of one synthesis (cold or retargeted).
 
     ``donor`` is the resolved donor :class:`~repro.synth.result.SynthesisResult`
-    for retargets, or ``None`` for cold syntheses.  ``dc_kernel`` changes
-    results (lockstep cold starts vs the chained warm walk) so it enters
-    the fingerprint — but only when non-default, so every entry persisted
-    before the knob existed keeps serving default runs.
+    for retargets, or ``None`` for cold syntheses.
     """
     payload: dict[str, Any] = {
         "version": FORMAT_VERSION,
@@ -103,8 +99,6 @@ def block_fingerprint(
         "tech": tech,
         "verify_transient": bool(verify_transient),
     }
-    if dc_kernel != "chained":
-        payload["dc_kernel"] = dc_kernel
     if donor is None:
         payload["budget"] = budget
         payload["seed"] = seed

@@ -129,23 +129,16 @@ class SynthesisJob:
     donor: SynthesisResult | None = None
     retarget_budget: int = 80
     retarget_seed: int = 7
-    #: Equation-evaluation kernel ('compiled'/'legacy') and speculative
-    #: batch depth (negative = auto: resolved from ``dc_kernel`` inside
-    #: ``synthesize_mdac``).  Pure performance knobs: results (and
-    #: therefore block fingerprints) are identical across them.
+    #: Equation-evaluation kernel ('compiled'/'legacy').  A pure
+    #: performance knob: results (and therefore block fingerprints) are
+    #: identical across kernels.
     eval_kernel: str = "compiled"
-    eval_speculation: int = -1
     #: On-disk compiled-template store directory (see
     #: :class:`repro.analysis.template.TemplateStore`) so pool/queue
     #: workers load stamp programs instead of recompiling them.  A pure
     #: performance knob, excluded from :meth:`queue_payload` like the
-    #: kernel selectors above.
+    #: kernel selector above.
     template_dir: str | None = None
-    #: DC Newton kernel ('chained'/'batched').  *Not* a pure performance
-    #: knob: the lockstep kernel's cold-start trajectories differ from the
-    #: warm chain, so it enters :meth:`queue_payload` (and the block
-    #: fingerprint) whenever it departs from the default.
-    dc_kernel: str = "chained"
 
     def queue_payload(self) -> dict[str, Any]:
         """Stable identity for the work-queue/broker ack files.
@@ -183,9 +176,7 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 seed=job.seed,
                 verify_transient=job.verify_transient,
                 kernel=job.eval_kernel,
-                speculation=job.eval_speculation,
                 template_store=job.template_dir,
-                dc_kernel=job.dc_kernel,
             )
         else:
             result = retarget_mdac(
@@ -196,9 +187,7 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 seed=job.retarget_seed,
                 verify_transient=job.verify_transient,
                 kernel=job.eval_kernel,
-                speculation=job.eval_speculation,
                 template_store=job.template_dir,
-                dc_kernel=job.dc_kernel,
             )
     metrics.observe(
         "scheduler.job_seconds" if job.donor is None else "scheduler.retarget_seconds",
@@ -334,7 +323,6 @@ def execute_plan(
             budget=cache.budget,
             seed=cache.seed,
             verify_transient=cache.verify_transient,
-            dc_kernel=getattr(cache, "dc_kernel", "chained"),
         )
 
     def cold_job(node: PlanNode) -> SynthesisJob:
@@ -345,9 +333,7 @@ def execute_plan(
             seed=cache.seed,
             verify_transient=cache.verify_transient,
             eval_kernel=cache.eval_kernel,
-            eval_speculation=cache.eval_speculation,
             template_dir=getattr(cache, "template_dir", None),
-            dc_kernel=getattr(cache, "dc_kernel", "chained"),
         )
 
     def run_wave(wave: Sequence[int]) -> None:
@@ -372,7 +358,6 @@ def execute_plan(
                 donor=donor,
                 retarget_budget=cache.retarget_budget,
                 retarget_seed=cache.retarget_seed,
-                dc_kernel=getattr(cache, "dc_kernel", "chained"),
             )
             fingerprints[index] = fingerprint
             hit = cache.load_persistent(fingerprint, spec=node.spec)
@@ -414,9 +399,7 @@ def execute_plan(
                     retarget_budget=cache.retarget_budget,
                     retarget_seed=cache.retarget_seed,
                     eval_kernel=cache.eval_kernel,
-                    eval_speculation=cache.eval_speculation,
                     template_dir=getattr(cache, "template_dir", None),
-                    dc_kernel=getattr(cache, "dc_kernel", "chained"),
                 )
             )
         if jobs:

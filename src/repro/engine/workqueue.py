@@ -112,7 +112,6 @@ class QueueBackend:
     def __init__(
         self,
         max_workers: int | None = None,
-        chunksize: int = 1,  # accepted for registry parity; queues don't batch
         queue_dir: str | Path | None = None,
         lease_timeout: float = 60.0,
     ):

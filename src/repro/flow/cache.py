@@ -40,18 +40,11 @@ class BlockCache:
     seed: int = 1
     retarget_seed: int = 7
     verify_transient: bool = True
-    #: Equation-evaluation kernel ('compiled'/'legacy') and speculative
-    #: batch depth (negative = auto, resolved from the DC kernel) handed
-    #: to every synthesis job.  Results are bit-identical across kernels,
-    #: so neither knob enters the content fingerprint — caches filled by
-    #: one kernel serve the other.
+    #: Equation-evaluation kernel ('compiled'/'legacy') handed to every
+    #: synthesis job.  Results are bit-identical across kernels, so it
+    #: never enters the content fingerprint — caches filled by one kernel
+    #: serve the other.
     eval_kernel: str = "compiled"
-    eval_speculation: int = -1
-    #: DC Newton kernel ('chained'/'batched').  Unlike the knobs above this
-    #: changes results (cold-start lockstep trajectories vs warm chains),
-    #: so it *does* enter the content fingerprint — 'batched' entries never
-    #: serve a 'chained' run or vice versa.
-    dc_kernel: str = "chained"
     results: dict[tuple[int, int], SynthesisResult] = field(default_factory=dict)
     #: How many synthesis calls were cold vs retargeted (for reporting).
     cold_runs: int = 0

@@ -1,8 +1,8 @@
 """Unified observability: metrics registry, trace spans, fleet liveness.
 
 ``repro.obs`` is the one telemetry substrate every layer reports into —
-the compiled-kernel counters (``TEMPLATE_STATS`` / ``NEWTON_STATS`` are
-thin views over it), block-cache accounting, scheduler waves, campaign
+the compiled-kernel counters (``TEMPLATE_STATS`` is a thin view over
+it), block-cache accounting, scheduler waves, campaign
 scenarios, broker lease lifecycle and service job coalescing.  Three
 pillars, all stdlib-only:
 

@@ -2,13 +2,12 @@
 
 One :class:`MetricsRegistry` per process (:data:`REGISTRY`) absorbs every
 subsystem's accounting under dotted names (``template.compiled``,
-``newton.converged``, ``broker.acked``, ``service.coalesced``, ...).  The
-legacy module-level stat dicts — ``TEMPLATE_STATS`` in
-:mod:`repro.analysis.template` and ``NEWTON_STATS`` in
-:mod:`repro.analysis.dcbatch` — are kept as :class:`CounterView` mappings
-over the registry, so their historical ``STATS["key"] += 1`` call sites
-(and the benchmarks that read them) keep working unchanged while the
-storage, reset and snapshot semantics are unified here.
+``broker.acked``, ``service.coalesced``, ...).  The legacy module-level
+stat dict ``TEMPLATE_STATS`` in :mod:`repro.analysis.template` is kept as
+a :class:`CounterView` mapping over the registry, so its historical
+``STATS["key"] += 1`` call sites (and the benchmarks that read them) keep
+working unchanged while the storage, reset and snapshot semantics are
+unified here.
 
 Three primitives:
 
@@ -215,8 +214,8 @@ def _format_value(value) -> str:
 class CounterView(MutableMapping):
     """Dict-like view over a fixed set of registry counters.
 
-    Keeps the historical module-level stat dicts (``TEMPLATE_STATS``,
-    ``NEWTON_STATS``) source-compatible — ``STATS["key"] += 1``,
+    Keeps the historical module-level stat dict (``TEMPLATE_STATS``)
+    source-compatible — ``STATS["key"] += 1``,
     ``dict(STATS)``, ``sorted(STATS.items())`` all behave exactly as they
     did on the plain dicts — while the registry owns the storage, so one
     ``reset_all()`` (and the autouse test fixture built on it) covers

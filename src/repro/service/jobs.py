@@ -82,8 +82,6 @@ CONFIG_FIELDS = (
     "retarget_seed",
     "verify_transient",
     "eval_kernel",
-    "eval_speculation",
-    "dc_kernel",
     "behavioral_draws",
     "behavioral_seed",
     "behavioral_kernel",
@@ -109,9 +107,22 @@ def build_config(
     Unknown fields and unknown backend names fail with a single-line
     :class:`SpecificationError` naming the valid choices; ``cache_dir`` is
     the *server's* persistent block-cache directory (clients cannot point
-    the server at host paths).
+    the server at host paths).  Older clients send, and stored job bodies
+    carry, two retired fields: ``dc_kernel`` (``"chained"`` only) and
+    ``eval_speculation`` (any integer).  Neither value ever changed
+    results, so both are validated and dropped.
     """
     body = dict(config_body or {})
+    dc_kernel = body.pop("dc_kernel", "chained")
+    if dc_kernel != "chained":
+        raise SpecificationError(
+            f"unknown DC kernel {dc_kernel!r} (valid: chained)"
+        )
+    depth = body.pop("eval_speculation", 0)
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise SpecificationError(
+            f"bad config: eval_speculation must be an integer, got {depth!r}"
+        )
     unknown = sorted(set(body) - set(CONFIG_FIELDS))
     if unknown:
         raise SpecificationError(
@@ -128,11 +139,6 @@ def build_config(
     if kernel not in ("compiled", "legacy"):
         raise SpecificationError(
             f"unknown eval kernel {kernel!r} (valid: compiled, legacy)"
-        )
-    dc_kernel = body.get("dc_kernel", "chained")
-    if dc_kernel not in ("chained", "batched"):
-        raise SpecificationError(
-            f"unknown DC kernel {dc_kernel!r} (valid: chained, batched)"
         )
     behavioral_kernel = body.get("behavioral_kernel", "batch")
     if behavioral_kernel not in ("batch", "legacy"):

@@ -314,20 +314,18 @@ def synthesis_task_payload(job: Any) -> dict:
 
     The dict whose digest keys the job's queue/broker acks.  **Byte-stability
     contract**: this must reproduce the PR 4 ``queue_payload`` exactly —
-    changing a key, a default, or the ``dc_kernel`` conditionality orphans
-    every ack already on disk.  ``"kind"`` doubles as the schema tag.
+    changing a key or a default orphans every ack already on disk.
+    ``"kind"`` doubles as the schema tag.
 
     Two fields of the raw dataclass cannot enter a content address: the
     donor's ``wall_seconds`` is nondeterministic (so the donor collapses to
-    its :func:`~repro.engine.persist.sizing_digest`), and the
-    kernel/speculation/template knobs are excluded because results are
-    bit-identical across them.  ``dc_kernel`` *does* change results, so it
-    joins the payload — but only when non-default, keeping acks written
-    before the knob existed valid for default runs.
+    its :func:`~repro.engine.persist.sizing_digest`), and the kernel and
+    template knobs are excluded because results are bit-identical across
+    them.
     """
     from repro.engine.persist import sizing_digest
 
-    payload: dict[str, Any] = {
+    return {
         "kind": "synthesis_job",
         "spec": job.spec,
         "tech": job.tech,
@@ -338,9 +336,6 @@ def synthesis_task_payload(job: Any) -> dict:
         "retarget_budget": job.retarget_budget,
         "retarget_seed": job.retarget_seed,
     }
-    if job.dc_kernel != "chained":
-        payload["dc_kernel"] = job.dc_kernel
-    return payload
 
 
 # -- result summaries (the service's ``result.json``) --------------------------

@@ -19,14 +19,12 @@ package reproduces that flow end to end:
 from repro.synth.space import DesignSpace, DesignVariable, two_stage_space
 from repro.synth.evaluator import EVAL_KERNELS, EvalResult, HybridEvaluator
 from repro.synth.anneal import anneal
-from repro.synth.batcheval import BatchCostFunction
 from repro.synth.de import differential_evolution
 from repro.synth.result import SynthesisResult
 from repro.synth.synthesis import synthesize_mdac
 from repro.synth.retarget import retarget_mdac
 
 __all__ = [
-    "BatchCostFunction",
     "DesignSpace",
     "DesignVariable",
     "EVAL_KERNELS",

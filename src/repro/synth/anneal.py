@@ -36,21 +36,11 @@ def anneal(
     t_end: float = 1e-3,
     step_start: float = 0.35,
     step_end: float = 0.02,
-    speculation: int = 0,
 ) -> AnnealResult:
     """Metropolis annealing with a geometric temperature/step schedule.
 
     ``cost_fn`` maps a point in [0,1]^dimension to a scalar cost; lower is
     better.  ``x0`` warm-starts the search (the retargeting mechanism).
-
-    ``speculation`` > 1 enables speculative proposal batches when
-    ``cost_fn`` is a :class:`~repro.synth.batcheval.BatchCostFunction`:
-    the next proposals are pre-drawn along the predicted
-    rejection path (the RNG is rewound afterwards, so the stream the serial
-    loop sees is untouched) and scored as one batch; the serial Metropolis
-    replay then consumes the cached costs until the prediction breaks.
-    Results are bit-identical to ``speculation=0`` — only wall time and the
-    batcher's discard counter differ.
     """
     if budget < 2:
         raise SynthesisError("budget must be >= 2")
@@ -59,32 +49,8 @@ def anneal(
     cost = cost_fn(x)
     best_x, best_cost = x.copy(), cost
     history = [best_cost]
-    speculative = speculation > 1 and hasattr(cost_fn, "speculate")
 
     for k in range(1, budget):
-        if speculative and cost_fn.pending == 0:
-            # Predict the next proposals assuming each step is a rejection
-            # with the acceptance draw consumed (the common late-anneal
-            # path), then rewind the RNG so the replay below re-draws the
-            # exact same stream.  The batcher's adaptive controller sizes
-            # the batch to the stream's recent acceptance behaviour (0 =
-            # skip: acceptance is too high for predictions to survive);
-            # the depth never changes results, only how much is prepaid.
-            limit = min(speculation, budget - k)
-            if hasattr(cost_fn, "advise_depth"):
-                limit = cost_fn.advise_depth(limit)
-            if limit > 0:
-                state = rng.bit_generator.state
-                proposals = []
-                for j in range(limit):
-                    frac = (k + j) / (budget - 1)
-                    spec_step = step_start * (step_end / step_start) ** frac
-                    proposals.append(
-                        np.clip(x + rng.normal(0.0, spec_step, dimension), 0.0, 1.0)
-                    )
-                    rng.random()  # the predicted acceptance draw
-                rng.bit_generator.state = state
-                cost_fn.speculate(proposals)
         frac = k / (budget - 1)
         temperature = t_start * (t_end / t_start) ** frac
         step = step_start * (step_end / step_start) ** frac
@@ -96,8 +62,6 @@ def anneal(
             if cost < best_cost:
                 best_x, best_cost = x.copy(), cost
         history.append(best_cost)
-    if speculative:
-        cost_fn.flush()
 
     threshold = best_cost * 1.05 if best_cost > 0 else best_cost
     evals_to_converge = next(

@@ -23,17 +23,8 @@ def differential_evolution(
     weight: float = 0.7,
     crossover: float = 0.8,
     x0: np.ndarray | None = None,
-    speculation: int = 0,
 ) -> AnnealResult:
     """DE/rand/1/bin over the unit hypercube within an evaluation budget.
-
-    ``speculation`` > 1 (with a batch-capable ``cost_fn`` — see
-    :class:`~repro.synth.batcheval.BatchCostFunction`) pre-scores each
-    generation's trial vectors as one batch: DE's RNG stream is
-    outcome-independent, so the trials can be pre-drawn against a population
-    snapshot (RNG rewound afterwards) and the serial selection replay
-    consumes the cached costs until an acceptance invalidates a later
-    trial.  Results are bit-identical to ``speculation=0``.
     """
     if budget < population * 2:
         raise SynthesisError("budget must cover at least two generations")
@@ -41,41 +32,11 @@ def differential_evolution(
     pop = rng.random((population, dimension))
     if x0 is not None:
         pop[0] = np.clip(np.asarray(x0, float), 0.0, 1.0)
-    speculative = speculation > 1 and hasattr(cost_fn, "speculate")
-    if speculative:
-        # The seeding generation is outcome-independent, so pre-scoring it
-        # is pure batching: every entry is a guaranteed queue hit.
-        cost_fn.speculate([x for x in pop])
     costs = np.array([cost_fn(x) for x in pop])
     evaluations = population
     history = [float(np.min(costs))] * population
 
     while evaluations < budget:
-        if speculative:
-            # Adaptive depth: generations with many selections mispredict
-            # the later trials, so let the batcher size the prepaid prefix
-            # (0 = skip this generation); any depth is bit-identical.
-            limit = min(speculation, budget - evaluations)
-            if hasattr(cost_fn, "advise_depth"):
-                limit = cost_fn.advise_depth(limit)
-            state = rng.bit_generator.state
-            snapshot = pop.copy()
-            proposals = []
-            for i in range(population):
-                if evaluations + len(proposals) >= budget:
-                    break
-                if len(proposals) >= limit:
-                    break
-                a, b, c = rng.choice(population, size=3, replace=False)
-                mutant = np.clip(
-                    snapshot[a] + weight * (snapshot[b] - snapshot[c]), 0.0, 1.0
-                )
-                mask = rng.random(dimension) < crossover
-                mask[rng.integers(dimension)] = True
-                proposals.append(np.where(mask, mutant, snapshot[i]))
-            rng.bit_generator.state = state
-            if proposals:
-                cost_fn.speculate(proposals)
         for i in range(population):
             if evaluations >= budget:
                 break
@@ -89,8 +50,6 @@ def differential_evolution(
             if trial_cost <= costs[i]:
                 pop[i], costs[i] = trial, trial_cost
             history.append(float(np.min(costs)))
-    if speculative:
-        cost_fn.flush()
 
     best = int(np.argmin(costs))
     best_cost = float(costs[best])

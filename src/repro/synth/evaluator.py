@@ -32,19 +32,6 @@ The equation half runs on one of two *kernels*:
 solves run candidate-by-candidate (preserving the warm-start chain, hence
 bit-identical costs), then every candidate's AC sweep joins one stacked
 linear solve.
-
-The DC stage itself has two *kernels* (``dc_kernel``):
-
-* ``"chained"`` (default) — the warm-start chain above: candidates solve
-  one at a time, each seeded from the previous operating point.  Fast per
-  solve, but strictly serial and order-dependent.
-* ``"batched"`` — the whole population iterates as one lockstep Newton
-  block (:mod:`repro.analysis.dcbatch`): every candidate starts cold from
-  the shared bias guess, converged members freeze bitwise while stragglers
-  keep iterating, and one stacked ``np.linalg.solve`` advances the block
-  per iteration.  Trajectories are deterministic and order-independent —
-  *different* from the chained results (no warm starts), which is why
-  ``FlowConfig.dc_kernel`` is part of campaign result identity.
 """
 
 from __future__ import annotations
@@ -61,9 +48,8 @@ from repro.analysis.ac import (
     solve_ac_stack,
 )
 from repro.analysis.dc import DcSolution, solve_dc
-from repro.analysis.dcbatch import DC_KERNELS, solve_dc_batch
 from repro.analysis.smallsignal import LinearizedCircuit, linearize
-from repro.analysis.template import BoundMnaStack, TemplateStore, bind_template
+from repro.analysis.template import TemplateStore, bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import MdacNetwork, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
@@ -130,7 +116,7 @@ class _AcScratch:
 
 
 def _solve_staged_ac(pending: "list[_StagedEvaluation]", scratch: _AcScratch) -> None:
-    """Fused AC solve for staged candidates (flattened candidates×corners).
+    """Fused AC solve for a population of staged candidates.
 
     Fills each entry's ``a_all`` (or marks it failed) exactly like a
     per-candidate :func:`~repro.analysis.ac.solve_ac_stack` walk would: the
@@ -245,20 +231,10 @@ class HybridEvaluator:
         transient_points: int = 500,
         kernel: str = "compiled",
         template_store: TemplateStore | str | None = None,
-        dc_kernel: str = "chained",
     ):
         if kernel not in EVAL_KERNELS:
             raise SynthesisError(
                 f"unknown evaluation kernel {kernel!r} (known: {EVAL_KERNELS})"
-            )
-        if dc_kernel not in DC_KERNELS:
-            raise SynthesisError(
-                f"unknown DC kernel {dc_kernel!r} (known: {DC_KERNELS})"
-            )
-        if dc_kernel == "batched" and kernel != "compiled":
-            raise SynthesisError(
-                "dc_kernel='batched' requires the compiled evaluation kernel "
-                "(the lockstep solver stacks compiled stamp programs)"
             )
         self.mdac = mdac
         self.tech = tech
@@ -266,7 +242,6 @@ class HybridEvaluator:
         self.common_mode = common_mode if common_mode is not None else 0.45 * tech.vdd
         self.transient_points = transient_points
         self.kernel = kernel
-        self.dc_kernel = dc_kernel
         #: Optional on-disk store of compiled stamp templates — workers
         #: point this at ``<cache_dir>/templates`` so they load compiled
         #: programs instead of recompiling per job.
@@ -279,20 +254,12 @@ class HybridEvaluator:
         #: Counters for the ablation benchmarks.
         self.equation_evals = 0
         self.transient_evals = 0
-        #: Warm-state trace of the last :meth:`evaluate_batch` call — the
-        #: ``_warm_x`` snapshot after each candidate, consumed by the
-        #: speculative batcher (:mod:`repro.synth.batcheval`) to rewind the
-        #: evaluator to any consumed prefix.
-        self._batch_warm_trace: list[np.ndarray | None] = []
         #: Scratch buffer for the per-candidate AC system stack.
         self._ac_stack_buf: np.ndarray | None = None
         #: Grow-once scratch for fused batch AC solves (chunked).
         self._batch_scratch = _AcScratch()
         #: Bound stamp template, reused (rebound) across candidates.
         self._bound = None
-        #: Grow-once pool of per-candidate bindings for the batched DC
-        #: kernel (the lockstep block needs every member bound at once).
-        self._bound_pool: "list[object | None]" = []
 
     def _bind(self, bench: Circuit):
         """Bind (or rebind) the compiled stamp template onto ``bench``.
@@ -306,23 +273,6 @@ class HybridEvaluator:
             return bound.rebind(bench)
         bound = bind_template(bench, store=self.template_store)
         self._bound = bound
-        return bound
-
-    def _bind_pool(self, slot: int, bench: Circuit):
-        """Bind ``bench`` onto the pooled per-candidate binding ``slot``.
-
-        The batched DC kernel needs every population member bound
-        simultaneously; the pool grows to the largest population seen and
-        slots rebind (value refresh only) on subsequent batches.
-        """
-        pool = self._bound_pool
-        while len(pool) <= slot:
-            pool.append(None)
-        bound = pool[slot]
-        if bound is not None and bound.template.key == bench.topology_key():
-            return bound.rebind(bench)
-        bound = bind_template(bench, store=self.template_store)
-        pool[slot] = bound
         return bound
 
     def _ac_scratch(self, size: int) -> np.ndarray:
@@ -358,10 +308,6 @@ class HybridEvaluator:
         self, sizing: TwoStageSizing, run_transient: bool = False
     ) -> EvalResult:
         """Hybrid evaluation; set ``run_transient`` for the simulation half."""
-        if self.dc_kernel == "batched":
-            # Single-candidate case of the lockstep path: cold starts make
-            # a population of one identical to the member's batch result.
-            return self.evaluate_batch([sizing], run_transient)[0]
         staged = self._stage_equation(sizing)
         if staged.failed:
             return self._infeasible(sizing)
@@ -398,38 +344,9 @@ class HybridEvaluator:
         the legacy kernel this falls back to a plain sequential loop.
         """
         if self.kernel != "compiled":
-            results = []
-            self._batch_warm_trace = []
-            for sizing in sizings:
-                results.append(self.evaluate(sizing, run_transient))
-                self._batch_warm_trace.append(
-                    None if self._warm_x is None else self._warm_x.copy()
-                )
-            return results
+            return [self.evaluate(sizing, run_transient) for sizing in sizings]
 
-        if self.dc_kernel == "batched":
-            staged = self._stage_batched(sizings)
-            # Cold starts leave no warm chain to rewind: speculative
-            # replays (synth/batcheval.py) are trivially exact.
-            self._batch_warm_trace = [None] * len(sizings)
-            pending = [s for s in staged if s.lin is not None]
-            if pending:
-                _solve_staged_ac(pending, self._batch_scratch)
-            return [
-                self._infeasible(s.sizing)
-                if s.failed
-                else self._finish(s, run_transient)
-                for s in staged
-            ]
-
-        staged: list[_StagedEvaluation] = []
-        self._batch_warm_trace = []
-        for sizing in sizings:
-            staged.append(self._stage_equation(sizing))
-            self._batch_warm_trace.append(
-                None if self._warm_x is None else self._warm_x.copy()
-            )
-
+        staged = [self._stage_equation(sizing) for sizing in sizings]
         pending = [s for s in staged if s.lin is not None]
         if pending:
             _solve_staged_ac(pending, self._batch_scratch)
@@ -439,62 +356,11 @@ class HybridEvaluator:
             for s in staged
         ]
 
-    def _stage_batched(
-        self, sizings: "list[TwoStageSizing]"
-    ) -> "list[_StagedEvaluation]":
-        """Cold-start lockstep DC staging for the batched kernel.
-
-        Every candidate binds its own pooled template slot, one population
-        solve (:func:`repro.analysis.dcbatch.solve_dc_batch`) replaces the
-        chained walk, and per-member failures degrade that member alone.
-        Like the chained path's cold restart, a candidate whose cold-start
-        solution is degenerate is infeasible — there is no further guess to
-        fall back to.
-        """
-        staged: "list[_StagedEvaluation]" = []
-        bounds = []
-        for i, sizing in enumerate(sizings):
-            self.equation_evals += 1
-            staged.append(_StagedEvaluation(sizing=sizing))
-            bench = self._ac_bench(sizing)
-            bounds.append(self._bind_pool(i, bench))
-        batch = solve_dc_batch(bounds, initial_guess=self._dc_guess())
-        for st, bound, op in zip(staged, bounds, batch.solutions):
-            if op is None or self._degenerate(op):
-                st.failed = True
-                continue
-            st.power = (
-                self.tech.vdd
-                * abs(op.supply_current("vdd_src"))
-                * DIFFERENTIAL_FACTOR
-            )
-            st.saturation = self._saturation_margin(op)
-            try:
-                st.lin = bound.linearize(op)
-            except (AnalysisError, ReproError):
-                st.failed = True
-        return staged
-
     def _stage_equation(self, sizing: TwoStageSizing) -> "_StagedEvaluation":
-        """DC solve + linearization — the sequential half of an evaluation."""
-        staged, bench, bound, op = self._stage_dc(sizing)
-        if staged.failed:
-            return staged
-        try:
-            if bound is not None:
-                staged.lin = bound.linearize(op)
-            else:
-                staged.lin = linearize(bench, op, include_noise=False)
-        except (AnalysisError, ReproError):
-            staged.failed = True
-        return staged
+        """Bench build, DC solve, power read-out and linearization.
 
-    def _stage_dc(self, sizing: TwoStageSizing):
-        """The order-dependent half: bench build, DC solve, power read-out.
-
-        Returns ``(staged, bench, bound, op)`` so corner-set evaluation can
-        interleave per-corner DC chains and defer linearization to the
-        corner-stacked template binding.
+        The order-dependent half of an evaluation: the DC solve warm-starts
+        from the previous candidate's operating point.
         """
         self.equation_evals += 1
         staged = _StagedEvaluation(sizing=sizing)
@@ -504,14 +370,21 @@ class HybridEvaluator:
             op = self._solve_dc(bench, assembly=bound)
         except (ConvergenceError, ReproError):
             staged.failed = True
-            return staged, bench, bound, None
+            return staged
         staged.power = (
             self.tech.vdd
             * abs(op.supply_current("vdd_src"))
             * DIFFERENTIAL_FACTOR
         )
         staged.saturation = self._saturation_margin(op)
-        return staged, bench, bound, op
+        try:
+            if bound is not None:
+                staged.lin = bound.linearize(op)
+            else:
+                staged.lin = linearize(bench, op, include_noise=False)
+        except (AnalysisError, ReproError):
+            staged.failed = True
+        return staged
 
     def _finish(
         self, staged: "_StagedEvaluation", run_transient: bool
@@ -681,199 +554,3 @@ class HybridEvaluator:
             violations={"dc": 1.0},
         )
 
-
-class CornerSetEvaluator:
-    """Candidates×corners evaluation through one fused tensor solve.
-
-    Multi-corner figure-of-merit computation (Barrandon et al.) evaluates
-    the same candidates under every process corner.  Corners share the
-    testbench topology, so this holds one :class:`HybridEvaluator` per
-    corner (each with its own order-dependent DC warm-start chain), runs
-    the per-corner DC solves serially, linearizes all corners at once
-    through a corner-stacked template binding
-    (:class:`~repro.analysis.template.BoundMnaStack`), and fuses every
-    candidate's and corner's AC sweep into a single candidates×corners×freq
-    ``np.linalg.solve`` tensor.
-
-    **Bit-identity:** ``evaluate_batch(sizings)[c]`` equals
-    ``self.corners[c].evaluate_batch(sizings)`` run standalone, result for
-    result — each corner's DC chain sees the same candidate sequence, the
-    stacked linearization replays each corner's scatter program unchanged,
-    and the tensor solve applies LAPACK per (n, n) slice.
-    ``tests/synth/test_corner_batch.py`` locks this down.
-    """
-
-    def __init__(
-        self,
-        mdac: MdacSpec,
-        techs: "list[Technology]",
-        common_mode: float | None = None,
-        transient_points: int = 500,
-        kernel: str = "compiled",
-        template_store: TemplateStore | str | None = None,
-        dc_kernel: str = "chained",
-    ):
-        if not techs:
-            raise SynthesisError("CornerSetEvaluator needs at least one corner")
-        self.corners = [
-            HybridEvaluator(
-                mdac,
-                tech,
-                common_mode=common_mode,
-                transient_points=transient_points,
-                kernel=kernel,
-                template_store=template_store,
-                dc_kernel=dc_kernel,
-            )
-            for tech in techs
-        ]
-        self.kernel = kernel
-        self.dc_kernel = dc_kernel
-        self._stack: BoundMnaStack | None = None
-        self._tensor_scratch = _AcScratch()
-
-    @property
-    def equation_evals(self) -> int:
-        """Total equation evaluations across all corners."""
-        return sum(ev.equation_evals for ev in self.corners)
-
-    def _corner_stack(self) -> BoundMnaStack | None:
-        """The corner-stacked binding over the corners' current bounds."""
-        bounds = [ev._bound for ev in self.corners]
-        if any(b is None for b in bounds):
-            return None
-        key = bounds[0].template.key
-        if any(b.template.key != key for b in bounds[1:]):
-            return None
-        stack = self._stack
-        if stack is None or len(stack.corners) != len(bounds) or any(
-            sb is not b for sb, b in zip(stack.corners, bounds)
-        ):
-            stack = BoundMnaStack.from_bounds(bounds)
-            self._stack = stack
-        return stack
-
-    def evaluate_batch(
-        self, sizings: "list[TwoStageSizing]", run_transient: bool = False
-    ) -> "list[list[EvalResult]]":
-        """Score ``sizings`` under every corner; returns ``[corner][candidate]``.
-
-        The legacy kernel has no batched form — it falls back to per-corner
-        sequential evaluation (the baseline the benchmarks measure the
-        tensor path against).
-        """
-        if self.kernel != "compiled":
-            return [ev.evaluate_batch(sizings, run_transient) for ev in self.corners]
-        if self.dc_kernel == "batched":
-            return self._evaluate_batch_lockstep(sizings, run_transient)
-
-        n_corners = len(self.corners)
-        staged: list[list[_StagedEvaluation]] = [[] for _ in range(n_corners)]
-        pending: list[_StagedEvaluation] = []
-        for sizing in sizings:
-            # Candidate-major staging: every corner's DC chain still sees
-            # the candidates in list order, identical to its solo run.
-            rows = [ev._stage_dc(sizing) for ev in self.corners]
-            stack = None
-            if all(op is not None for (_, _, _, op) in rows):
-                stack = self._corner_stack()
-            if stack is not None:
-                # One corner-dimension slot refresh + stacked linearize.
-                try:
-                    lins = stack.refresh().linearize(
-                        [op for (_, _, _, op) in rows]
-                    )
-                except (AnalysisError, ReproError):
-                    lins = None
-                    for st, _, _, _ in rows:
-                        st.failed = True
-                if lins is not None:
-                    for (st, _, _, _), lin in zip(rows, lins):
-                        st.lin = lin
-            else:
-                for st, bench, bound, op in rows:
-                    if op is None:
-                        continue
-                    try:
-                        if bound is not None:
-                            st.lin = bound.linearize(op)
-                        else:
-                            st.lin = linearize(bench, op, include_noise=False)
-                    except (AnalysisError, ReproError):
-                        st.failed = True
-            for c, (st, _, _, _) in enumerate(rows):
-                staged[c].append(st)
-                if st.lin is not None:
-                    pending.append(st)
-
-        if pending:
-            # The candidates×corners×freq tensor: one chunked fused solve.
-            _solve_staged_ac(pending, self._tensor_scratch)
-
-        return [
-            [
-                ev._infeasible(st.sizing)
-                if st.failed or st.a_all is None
-                else ev._finish(st, run_transient)
-                for st in staged[c]
-            ]
-            for c, ev in enumerate(self.corners)
-        ]
-
-    def _evaluate_batch_lockstep(
-        self, sizings: "list[TwoStageSizing]", run_transient: bool
-    ) -> "list[list[EvalResult]]":
-        """The candidates×corners block as one lockstep DC solve.
-
-        Every (candidate, corner) member joins a single
-        :func:`~repro.analysis.dcbatch.solve_dc_batch` population — corners
-        share the testbench topology, so the whole block iterates as one
-        masked Newton stack — and the surviving members' AC sweeps fuse
-        into the usual candidates×corners×freq tensor solve.  Each member
-        cold-starts from *its corner's* bias guess (supplies and common
-        modes differ per corner), so results are order-independent across
-        both axes.
-        """
-        staged: "list[list[_StagedEvaluation]]" = [[] for _ in self.corners]
-        bounds = []
-        guesses = []
-        entries: "list[tuple[int, _StagedEvaluation]]" = []
-        for i, sizing in enumerate(sizings):
-            for c, ev in enumerate(self.corners):
-                ev.equation_evals += 1
-                st = _StagedEvaluation(sizing=sizing)
-                staged[c].append(st)
-                bench = ev._ac_bench(sizing)
-                bounds.append(ev._bind_pool(i, bench))
-                guesses.append(ev._dc_guess())
-                entries.append((c, st))
-        batch = solve_dc_batch(bounds, initial_guess=guesses)
-        pending: "list[_StagedEvaluation]" = []
-        for (c, st), bound, op in zip(entries, bounds, batch.solutions):
-            ev = self.corners[c]
-            if op is None or ev._degenerate(op):
-                st.failed = True
-                continue
-            st.power = (
-                ev.tech.vdd
-                * abs(op.supply_current("vdd_src"))
-                * DIFFERENTIAL_FACTOR
-            )
-            st.saturation = ev._saturation_margin(op)
-            try:
-                st.lin = bound.linearize(op)
-            except (AnalysisError, ReproError):
-                st.failed = True
-                continue
-            pending.append(st)
-        if pending:
-            _solve_staged_ac(pending, self._tensor_scratch)
-        return [
-            [
-                ev._infeasible(st.sizing)
-                if st.failed or st.a_all is None
-                else ev._finish(st, run_transient)
-                for st in staged[c]
-            ]
-            for c, ev in enumerate(self.corners)
-        ]

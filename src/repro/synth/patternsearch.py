@@ -14,50 +14,20 @@ def pattern_search(
     step: float = 0.08,
     shrink: float = 0.5,
     min_step: float = 0.005,
-    speculation: int = 0,
 ) -> tuple[np.ndarray, float, int]:
     """Coordinate pattern search in [0,1]^d from ``x0``.
 
     Returns ``(best_x, best_cost, evaluations)``.  Deterministic: probes
     +-step along every coordinate, moves to any improvement, shrinks the
     step when a full sweep fails.
-
-    ``speculation`` > 1 (with a batch-capable ``cost_fn`` — see
-    :class:`~repro.synth.batcheval.BatchCostFunction`) pre-scores each
-    sweep's poll set as one batch under the no-improvement prediction; the
-    serial sweep replays against the cache and falls back to fresh
-    evaluations from the first improving move on.  Results are
-    bit-identical to ``speculation=0``.
     """
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     cost = cost_fn(x)
     evaluations = 1
     current_step = step
     dimension = len(x)
-    speculative = speculation > 1 and hasattr(cost_fn, "speculate")
 
     while evaluations < budget and current_step >= min_step:
-        if speculative:
-            # The adaptive depth bounds how much of the poll set is
-            # prepaid under the no-improvement prediction (0 = skip while
-            # sweeps keep improving early); any depth is bit-identical.
-            limit = min(speculation, budget - evaluations)
-            if hasattr(cost_fn, "advise_depth"):
-                limit = cost_fn.advise_depth(limit)
-            proposals = []
-            for i in range(dimension):
-                for sign in (+1.0, -1.0):
-                    if evaluations + len(proposals) >= budget:
-                        break
-                    if len(proposals) >= limit:
-                        break
-                    trial = x.copy()
-                    trial[i] = np.clip(trial[i] + sign * current_step, 0.0, 1.0)
-                    if trial[i] == x[i]:
-                        continue
-                    proposals.append(trial)
-            if proposals:
-                cost_fn.speculate(proposals)
         improved = False
         for i in range(dimension):
             for sign in (+1.0, -1.0):
@@ -75,6 +45,4 @@ def pattern_search(
                     break
         if not improved:
             current_step *= shrink
-    if speculative:
-        cost_fn.flush()
     return x, cost, evaluations

@@ -27,9 +27,7 @@ def retarget_mdac(
     seed: int = 7,
     verify_transient: bool = True,
     kernel: str = "compiled",
-    speculation: int = -1,
     template_store: str | None = None,
-    dc_kernel: str = "chained",
 ) -> SynthesisResult:
     """Warm-started synthesis of ``new_spec`` from a previously sized block.
 
@@ -63,7 +61,5 @@ def retarget_mdac(
         verify_transient=verify_transient,
         retargeted=True,
         kernel=kernel,
-        speculation=speculation,
         template_store=template_store,
-        dc_kernel=dc_kernel,
     )

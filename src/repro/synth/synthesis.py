@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import SynthesisError
 from repro.specs.stage import MdacSpec
 from repro.synth.anneal import anneal
-from repro.synth.batcheval import BatchCostFunction
 from repro.synth.de import differential_evolution
 from repro.synth.evaluator import HybridEvaluator
 from repro.synth.patternsearch import pattern_search
@@ -29,13 +28,6 @@ from repro.tech.process import Technology
 _REPAIR_FACTOR = 1.30
 _MAX_REPAIRS = 3
 
-#: Depth a negative ("auto") ``speculation`` resolves to under the batched
-#: DC kernel.  The chained kernel resolves auto to 0: its warm-start walk
-#: cannot batch the DC stage, so speculated proposals only tie the serial
-#: loop and discards are pure loss (the BENCH_PR10.json receipt measures
-#: ~0.8x chained vs ~1.2x batched at this depth).
-_AUTO_SPECULATION_DEPTH = 8
-
 
 def synthesize_mdac(
     mdac: MdacSpec,
@@ -47,9 +39,7 @@ def synthesize_mdac(
     verify_transient: bool = True,
     retargeted: bool = False,
     kernel: str = "compiled",
-    speculation: int = -1,
     template_store: str | None = None,
-    dc_kernel: str = "chained",
 ) -> SynthesisResult:
     """Synthesize one MDAC opamp; returns the verified result.
 
@@ -58,34 +48,17 @@ def synthesize_mdac(
 
     ``kernel`` selects the equation-evaluation kernel (``"compiled"``, the
     template+batched-solve default, or ``"legacy"``, the reference walk);
-    ``speculation`` > 1 additionally batches optimizer proposals through
-    :class:`~repro.synth.batcheval.BatchCostFunction`, with the batch
-    depth adapting to the proposal stream's acceptance behaviour; a
-    negative depth means "auto" — :data:`_AUTO_SPECULATION_DEPTH` under
-    the batched DC kernel, off under the chained one.  ``template_store``
-    points at an on-disk compiled-template store
+    ``template_store`` points at an on-disk compiled-template store
     (:class:`~repro.analysis.template.TemplateStore` directory) so worker
-    processes load the stamp program instead of recompiling it.  All three
-    knobs are pure performance choices: results are bit-identical across
-    them.  ``dc_kernel`` is *not*: ``"batched"`` replaces the chained
-    warm-start DC walk with cold-start population lockstep solves
-    (:mod:`repro.analysis.dcbatch`), which changes the Newton trajectories
-    and therefore the synthesized result's identity.
+    processes load the stamp program instead of recompiling it.  Both knobs
+    are pure performance choices: results are bit-identical across them.
     """
     start = time.perf_counter()
-    if speculation < 0:
-        speculation = _AUTO_SPECULATION_DEPTH if dc_kernel == "batched" else 0
     space = two_stage_space(mdac, tech)
-    evaluator = HybridEvaluator(
-        mdac, tech, kernel=kernel, template_store=template_store,
-        dc_kernel=dc_kernel,
-    )
+    evaluator = HybridEvaluator(mdac, tech, kernel=kernel, template_store=template_store)
 
-    if speculation > 1 and kernel == "compiled":
-        cost_fn = BatchCostFunction(evaluator, space)
-    else:
-        def cost_fn(u: np.ndarray) -> float:
-            return evaluator.evaluate(space.decode(u)).cost()
+    def cost_fn(u: np.ndarray) -> float:
+        return evaluator.evaluate(space.decode(u)).cost()
 
     if optimizer == "anneal":
         run = anneal(
@@ -94,7 +67,6 @@ def synthesize_mdac(
             budget=budget,
             seed=seed,
             x0=x0,
-            speculation=speculation,
         )
     elif optimizer == "de":
         run = differential_evolution(
@@ -103,7 +75,6 @@ def synthesize_mdac(
             budget=budget,
             seed=seed,
             x0=x0,
-            speculation=speculation,
         )
     else:
         raise SynthesisError(f"unknown optimizer {optimizer!r}")
@@ -111,9 +82,7 @@ def synthesize_mdac(
     # Local polish: a short pattern search closes the last few percent of
     # constraint margin the annealer leaves behind.
     polish_budget = max(40, budget // 4)
-    best_x, _, _ = pattern_search(
-        cost_fn, run.best_x, budget=polish_budget, speculation=speculation
-    )
+    best_x, _, _ = pattern_search(cost_fn, run.best_x, budget=polish_budget)
 
     sizing = space.decode(best_x)
     final = evaluator.evaluate(sizing, run_transient=verify_transient)

@@ -1,6 +1,9 @@
 """AC, pole/zero and noise analyses validated against closed forms."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +146,22 @@ class TestPz:
         z = zeros(lin, "out")
         assert len(z) == 1
         assert z[0].real == pytest.approx(-1.0 / (r1 * c), rel=1e-6)
+
+    def test_cli_import_does_not_load_scipy(self):
+        # The campaign flow never extracts poles or zeros; importing the
+        # CLI must not pay scipy.linalg's import time.
+        code = (
+            "import sys, repro.cli; "
+            "print('scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "False"
 
     def test_zeros_requires_excitation(self):
         b = CircuitBuilder("noac")

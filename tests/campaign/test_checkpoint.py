@@ -1,5 +1,7 @@
 """Checkpointed campaigns: kill/resume byte-identity and manifest guards."""
 
+import dataclasses
+
 import pytest
 
 from repro.campaign import (
@@ -154,6 +156,27 @@ class TestManifestGuards:
             run_campaign(
                 SYNTH_GRID, config=_config(budget=61), store_dir=store, resume=True
             )
+
+    def test_resume_refuses_a_store_written_under_the_batched_kernel(
+        self, tmp_path
+    ):
+        # A store from before the DC-kernel knob was retired, written with
+        # dc_kernel="batched": its records came from the cold-start lockstep
+        # solver, so the chained walk must not resume into it.
+        from repro.campaign import write_manifest
+
+        store = tmp_path / "store"
+        run_campaign(ANALYTIC_GRID, store_dir=store)
+        manifest = read_manifest(store)
+        batched = dataclasses.replace(
+            manifest,
+            config_digest=(
+                "c04dc1cc9417e5db34cc660a7c08eff2c5f10c0160c6fdecc7a1f29f640f38af"
+            ),
+        )
+        write_manifest(batched, store)
+        with pytest.raises(SpecificationError, match="config digest"):
+            run_campaign(ANALYTIC_GRID, store_dir=store, resume=True)
 
     def test_resume_refuses_a_different_shard(self, tmp_path):
         store = tmp_path / "store"

@@ -184,51 +184,28 @@ class TestFriendlyErrors:
         assert "manifest.json" in err
 
 
-class TestSpeculationFlags:
-    def test_no_speculation_overrides_depth(self):
-        from repro.cli import _resolve_speculation
-
-        class Args:
-            speculation = 8
-            no_speculation = True
-
-        assert _resolve_speculation(Args()) == 0
-
-    def test_unset_speculation_uses_library_default(self):
-        from repro.cli import _resolve_speculation
-        from repro.engine.config import FlowConfig
-
-        class Args:
-            speculation = None
-            no_speculation = False
-
-        assert _resolve_speculation(Args()) == FlowConfig.eval_speculation
-
-    def test_flags_accepted_on_campaign(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--bits",
-                    "10",
-                    "--quiet",
-                    "--speculation",
-                    "8",
-                    "--no-speculation",
-                ]
-            )
-            == 0
-        )
-        assert "Campaign comparison" in capsys.readouterr().out
-
-    def test_help_documents_default_and_escape_hatch(self, capsys):
+class TestRetiredFlags:
+    @pytest.mark.parametrize("command", ["campaign", "explore", "submit"])
+    def test_removed_kernel_flags_are_gone(self, command, capsys):
         with pytest.raises(SystemExit):
-            main(["campaign", "--help"])
+            main([command, "--help"])
         help_text = capsys.readouterr().out
-        assert "--no-speculation" in help_text
-        assert "--speculation" in help_text
-        assert "default" in help_text
+        for flag in ("--dc-kernel", "--speculation", "--no-speculation"):
+            assert flag not in help_text
 
+
+    @pytest.mark.parametrize("command", ["campaign", "explore", "submit"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--dc-kernel", "chained"], ["--speculation", "8"], ["--no-speculation"]],
+        ids=["dc-kernel", "speculation", "no-speculation"],
+    )
+    def test_removed_kernel_flags_are_rejected(self, command, flag, capsys):
+        # Old scripts fail loudly instead of running with the flag ignored.
+        with pytest.raises(SystemExit) as info:
+            main([command, *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 class TestShardUnitGuard:
     def test_shard_count_above_units_is_a_friendly_error(self, capsys):

@@ -9,7 +9,7 @@ PR 1/PR 2 determinism guarantees to the kernel layer.
 import pytest
 
 from repro.campaign import CampaignGrid, run_campaign
-from repro.engine.config import SPECULATION_AUTO, FlowConfig
+from repro.engine.config import FlowConfig
 
 
 def _store_bytes(tmp_path, label, **config_kwargs):
@@ -43,12 +43,6 @@ def stores(tmp_path_factory):
             backend="thread",
             max_workers=2,
         ),
-        "speculative-serial": _store_bytes(
-            tmp_path,
-            "speculative-serial",
-            eval_kernel="compiled",
-            eval_speculation=6,
-        ),
     }
 
 
@@ -60,13 +54,6 @@ def test_compiled_thread_matches_legacy_bytes(stores):
     assert stores["compiled-thread"] == stores["legacy-serial"]
 
 
-def test_speculative_matches_legacy_bytes(stores):
-    assert stores["speculative-serial"] == stores["legacy-serial"]
-
-
 def test_default_config_uses_compiled_kernel():
     config = FlowConfig()
     assert config.eval_kernel == "compiled"
-    # Auto: synthesize_mdac resolves the depth from the DC kernel — 0 on
-    # the default chained walk, 8 on the batched lockstep kernel.
-    assert config.eval_speculation == SPECULATION_AUTO

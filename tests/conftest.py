@@ -1,7 +1,7 @@
 """Repo-wide fixtures.
 
 The observability registry (:data:`repro.obs.metrics.REGISTRY`) is
-process-global state — it backs ``TEMPLATE_STATS``/``NEWTON_STATS`` and
+process-global state — it backs ``TEMPLATE_STATS`` and
 every ``broker.*``/``service.*`` counter — so without a reset between
 tests one test's counters leak into the next test's assertions (the
 historical failure mode this fixture exists to close: stats accumulated

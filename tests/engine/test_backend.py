@@ -55,8 +55,6 @@ class TestProcessPoolBackend:
     def test_invalid_workers_rejected(self):
         with pytest.raises(SpecificationError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(SpecificationError):
-            ProcessPoolBackend(chunksize=0)
 
     def test_satisfies_protocol(self):
         assert isinstance(ProcessPoolBackend(), ExecutionBackend)
@@ -82,8 +80,6 @@ class TestThreadPoolBackend:
     def test_invalid_workers_rejected(self):
         with pytest.raises(SpecificationError):
             ThreadPoolBackend(max_workers=0)
-        with pytest.raises(SpecificationError):
-            ThreadPoolBackend(chunksize=0)
 
     def test_satisfies_protocol(self):
         assert isinstance(ThreadPoolBackend(), ExecutionBackend)
@@ -132,3 +128,13 @@ class TestFlowConfig:
 
         persistent = FlowConfig(cache_dir=str(tmp_path)).make_cache(CMOS025)
         assert isinstance(persistent, PersistentBlockCache)
+
+    def test_has_sixteen_fields(self):
+        import dataclasses
+
+        assert len(dataclasses.fields(FlowConfig)) == 16
+
+    @pytest.mark.parametrize("field", ["dc_kernel", "eval_speculation", "chunksize"])
+    def test_retired_fields_are_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            FlowConfig(**{field: 1})

@@ -120,6 +120,24 @@ class TestValidation:
         config = build_config({"budget": 123}, cache_dir="/tmp/cache")
         assert config == FlowConfig(budget=123, cache_dir="/tmp/cache")
 
+    def test_retired_kernel_fields_are_accepted_and_ignored(self):
+        # Older clients always sent these, and stored job bodies carry them.
+        for depth in (-1, 0, 8):
+            legacy = {"budget": 123, "dc_kernel": "chained", "eval_speculation": depth}
+            assert build_config(legacy) == FlowConfig(budget=123)
+        old_body = {**CAMPAIGN, "config": {"dc_kernel": "chained", "eval_speculation": 8}}
+        assert parse_request(old_body).key == parse_request(CAMPAIGN).key
+
+    @pytest.mark.parametrize("value", ["batched", "lockstep"])
+    def test_retired_dc_kernel_rejects_other_values(self, value):
+        with pytest.raises(SpecificationError, match="unknown DC kernel") as info:
+            build_config({"dc_kernel": value})
+        assert "\n" not in str(info.value)
+
+    def test_retired_speculation_rejects_non_integers(self):
+        with pytest.raises(SpecificationError, match="eval_speculation"):
+            build_config({"eval_speculation": "auto"})
+
 
 class TestRecordsAndStore:
     def test_record_roundtrip(self):
@@ -152,6 +170,19 @@ class TestRecordsAndStore:
             )
         loaded = store.load_all()
         assert [r.seq for r in loaded] == [1, 2]
+
+    def test_stored_record_with_retired_fields_recovers(self, tmp_path):
+        # Records persisted by older servers carry the retired kernel knobs
+        # in their request body; recovery must still rebuild the config.
+        store = JobStore(tmp_path)
+        request = parse_request(CAMPAIGN)
+        old_body = {
+            **request.body,
+            "config": {"budget": 90, "dc_kernel": "chained", "eval_speculation": 8},
+        }
+        store.save(JobRecord(key=request.key, kind="campaign", request=old_body))
+        (loaded,) = store.load_all()
+        assert build_config(loaded.request["config"]) == FlowConfig(budget=90)
 
     def test_corrupt_record_is_skipped(self, tmp_path):
         store = JobStore(tmp_path)

@@ -195,16 +195,9 @@ class TestSynthesisTaskPayload:
             "retarget_seed": 7,
         }
 
-    def test_dc_kernel_enters_only_when_non_default(self):
-        assert "dc_kernel" not in wire.synthesis_task_payload(_job())
-        batched = wire.synthesis_task_payload(_job(dc_kernel="batched"))
-        assert batched["dc_kernel"] == "batched"
-
     def test_performance_knobs_never_enter_the_digest(self):
         base = digest(wire.synthesis_task_payload(_job()))
-        tweaked = _job(
-            eval_kernel="legacy", eval_speculation=4, template_dir="/tmp/x"
-        )
+        tweaked = _job(eval_kernel="legacy", template_dir="/tmp/x")
         assert digest(wire.synthesis_task_payload(tweaked)) == base
 
 

@@ -1,10 +1,8 @@
-"""Kernel equivalence: compiled/batched/speculative paths == legacy, bitwise.
+"""Kernel equivalence: compiled/batched paths == legacy, bitwise.
 
 The PR 3 acceptance contract: the compiled kernel is the default, so every
 metric, cost, optimizer trajectory and synthesis outcome it produces must
-be *bit-identical* to the legacy evaluator — including through the
-speculative proposal batches, which may waste work but may never change a
-number or a counter.
+be *bit-identical* to the legacy evaluator.
 """
 
 import numpy as np
@@ -14,15 +12,7 @@ from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import SynthesisError
 from repro.specs import AdcSpec, plan_stages
-from repro.synth import (
-    BatchCostFunction,
-    HybridEvaluator,
-    anneal,
-    differential_evolution,
-    synthesize_mdac,
-    two_stage_space,
-)
-from repro.synth.patternsearch import pattern_search
+from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.tech import CMOS025
 
 
@@ -76,8 +66,6 @@ class TestEvaluatorEquivalence:
         for a, b in zip(seq_results, batch_results):
             _assert_results_equal(a, b)
         assert sequential.equation_evals == batched.equation_evals
-        # The warm trace covers every candidate (speculation relies on it).
-        assert len(batched._batch_warm_trace) == len(sizings)
 
     def test_evaluate_batch_legacy_fallback(self):
         mdac = _mdac()
@@ -93,67 +81,6 @@ class TestEvaluatorEquivalence:
             _assert_results_equal(a, b)
 
 
-class TestSpeculationEquivalence:
-    def _cost_pair(self):
-        mdac = _mdac()
-        space = two_stage_space(mdac, CMOS025)
-        plain_eval = HybridEvaluator(mdac, CMOS025, kernel="compiled")
-
-        def plain(u):
-            return plain_eval.evaluate(space.decode(u)).cost()
-
-        batch_eval = HybridEvaluator(mdac, CMOS025, kernel="compiled")
-        batch = BatchCostFunction(batch_eval, space)
-        return plain, plain_eval, batch, batch_eval
-
-    def test_anneal_trajectory_identical(self):
-        plain, plain_eval, batch, batch_eval = self._cost_pair()
-        ref = anneal(plain, 9, budget=60, seed=2)
-        spec = anneal(batch, 9, budget=60, seed=2, speculation=6)
-        assert ref.history == spec.history
-        assert np.array_equal(ref.best_x, spec.best_x)
-        assert ref.best_cost == spec.best_cost
-        # Counters rewound to the serial count, waste tracked separately.
-        assert plain_eval.equation_evals == batch_eval.equation_evals
-        assert batch.speculated > 0
-
-    def test_de_trajectory_identical(self):
-        plain, plain_eval, batch, batch_eval = self._cost_pair()
-        ref = differential_evolution(plain, 9, budget=48, seed=2, population=8)
-        spec = differential_evolution(
-            batch, 9, budget=48, seed=2, population=8, speculation=8
-        )
-        assert ref.history == spec.history
-        assert np.array_equal(ref.best_x, spec.best_x)
-        assert plain_eval.equation_evals == batch_eval.equation_evals
-
-    def test_pattern_search_identical(self):
-        plain, plain_eval, batch, batch_eval = self._cost_pair()
-        x0 = np.full(9, 0.5)
-        ref = pattern_search(plain, x0, budget=40)
-        spec = pattern_search(batch, x0, budget=40, speculation=8)
-        assert np.array_equal(ref[0], spec[0])
-        assert ref[1] == spec[1]
-        assert ref[2] == spec[2]
-        assert plain_eval.equation_evals == batch_eval.equation_evals
-
-    def test_flush_rewinds_unconsumed_speculation(self):
-        _, _, batch, batch_eval = self._cost_pair()
-        rng = np.random.default_rng(0)
-        proposals = [rng.random(9) for _ in range(4)]
-        batch.speculate(proposals)
-        assert batch.pending == 4
-        first = batch(proposals[0])  # consume one
-        batch.flush()
-        assert batch.pending == 0
-        assert batch.discarded == 3
-        assert batch_eval.equation_evals == 1  # only the consumed one counts
-        # Re-evaluating the same point serially reproduces the cached cost.
-        fresh_eval = HybridEvaluator(_mdac(), CMOS025, kernel="compiled")
-        fresh = BatchCostFunction(fresh_eval, two_stage_space(_mdac(), CMOS025))
-        assert fresh(proposals[0]) == first
-
-
 class TestSynthesisEquivalence:
     @pytest.mark.parametrize("optimizer", ["anneal", "de"])
     def test_synthesize_identical_across_kernels(self, optimizer):
@@ -167,18 +94,11 @@ class TestSynthesisEquivalence:
                 optimizer=optimizer,
                 verify_transient=False,
                 kernel=kernel,
-                speculation=speculation,
             )
-            for label, kernel, speculation in (
-                ("legacy", "legacy", 0),
-                ("compiled", "compiled", 0),
-                ("speculative", "compiled", 6),
-            )
+            for label, kernel in (("legacy", "legacy"), ("compiled", "compiled"))
         }
-        base = runs["legacy"]
-        for label in ("compiled", "speculative"):
-            other = runs[label]
-            assert sizing_digest(other) == sizing_digest(base), label
-            assert other.history == base.history, label
-            assert other.equation_evals == base.equation_evals, label
-            assert other.final.cost() == base.final.cost(), label
+        base, other = runs["legacy"], runs["compiled"]
+        assert sizing_digest(other) == sizing_digest(base)
+        assert other.history == base.history
+        assert other.equation_evals == base.equation_evals
+        assert other.final.cost() == base.final.cost()
