@@ -1,20 +1,20 @@
-"""Compiled evaluation kernels: legacy vs compiled.
+"""Compiled evaluation kernels: the legacy oracle vs compiled.
 
 The PR 3 tentpole claim, measured three ways on a standard
 ``synthesize_mdac`` workload (cold anneal, budget 400, fixed seed):
 
 * **full-candidate throughput** — candidates/second through the whole
   equation evaluation (DC Newton + linearization + AC sweep + metrics),
-  legacy walk vs compiled kernel;
+  legacy walk (``tests/oracles/``) vs compiled kernel;
 * **equation-metric stage throughput** — the transfer-function stage
   alone (the paper's "formulate the numerical transfer function" step):
   the seed solved it one frequency at a time through per-call
   ``np.linalg.solve``; the kernel solves the whole grid as one stacked
   batch.  This is where the batched-linear-solve tentpole lands its
   biggest factor (>= 3x is asserted here);
-* **result identity** — both kernels must produce bit-identical
+* **result identity** — both sides must produce bit-identical
   synthesis results (the determinism contract that lets the compiled
-  kernel be the default).
+  kernel be the only production path).
 
 The legacy variant runs under ``layout_cache_disabled`` so it also pays
 the per-call :class:`~repro.analysis.mna.MnaLayout` derivation the
@@ -22,12 +22,15 @@ pre-kernel evaluator paid.  Numbers land in ``BENCH_PR6.json`` via
 ``benchmarks/run_all.py``.
 """
 
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
+from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
 from repro.engine.persist import sizing_digest
 from repro.enumeration.candidates import PipelineCandidate
@@ -36,6 +39,10 @@ from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _AC_FREQS
 from repro.tech import CMOS025
 
+# The reference walks live in the test tree (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import LegacyEvaluator, ac_response_loop  # noqa: E402
+
 
 def _block_spec():
     spec = AdcSpec(resolution_bits=13)
@@ -43,7 +50,7 @@ def _block_spec():
     return plan.mdacs[2]  # the 2-bit stage: fastest standard block
 
 
-def _synthesize(kernel: str, budget: int = 400):
+def _synthesize(budget: int = 400):
     mdac = _block_spec()
     start = time.perf_counter()
     result = synthesize_mdac(
@@ -52,7 +59,6 @@ def _synthesize(kernel: str, budget: int = 400):
         budget=budget,
         seed=1,
         verify_transient=False,
-        kernel=kernel,
     )
     wall = time.perf_counter() - start
     return result, result.equation_evals / wall
@@ -61,9 +67,11 @@ def _synthesize(kernel: str, budget: int = 400):
 @pytest.mark.slow
 def test_kernel_throughput_and_identity(once):
     """Compiled >= 2x legacy on full candidates, with identical results."""
-    with layout_cache_disabled():
-        legacy, legacy_rate = _synthesize("legacy")
-    compiled_run = once(lambda: _synthesize("compiled"))
+    with layout_cache_disabled(), mock.patch(
+        "repro.synth.synthesis.HybridEvaluator", LegacyEvaluator
+    ):
+        legacy, legacy_rate = _synthesize()
+    compiled_run = once(_synthesize)
     compiled, compiled_rate = compiled_run
 
     print(
@@ -84,14 +92,14 @@ def test_equation_metric_stage_speedup():
     """The batched AC sweep is >= 3x the per-frequency legacy loop."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+    evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
     staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
     assert staged.lin is not None
     lin = staged.lin
 
     def legacy_stage():
-        return ac_transfer(lin, "out", _AC_FREQS, batched=False)
+        return ac_response_loop(lin, _AC_FREQS)[:, lin.index("out")]
 
     def batched_stage():
         stack = ac_system_stack(lin, _AC_FREQS)

@@ -4,7 +4,7 @@ The contract the unified observability layer ships with: `metrics` mode
 (the default) may not tax the hot evaluation path, and `trace` mode's
 span export stays cheap enough for production use.  The workload is one
 48-candidate :meth:`~repro.synth.evaluator.HybridEvaluator.evaluate_batch`
-pass — the chained warm-start DC walk plus the fused AC solve every
+pass — the chained warm-start DC walk plus the stacked AC solve every
 synthesis runs, with the template counters live — wrapped in one span per
 pass, exactly as the scheduler wraps each synthesis job.
 
@@ -46,7 +46,7 @@ def _workload(population: int):
     space = two_stage_space(mdac, CMOS025)
     rng = np.random.default_rng(17)
     sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+    evaluator = HybridEvaluator(mdac, CMOS025)
     return evaluator, sizings
 
 

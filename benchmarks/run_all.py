@@ -1,8 +1,9 @@
 """Run the standalone benchmark suite and emit ``BENCH_PR10.json``.
 
 Standalone (no pytest): fixed seeds, deterministic workloads, wall-clock
-measurements of the compiled evaluation kernels against the legacy path,
-plus the optimization-service stage (submission latency, coalescing hit
+measurements of the compiled evaluation kernels against the reference
+walks in ``tests/oracles/`` (imported from the repo root, which this
+script puts on ``sys.path``), plus the optimization-service stage (submission latency, coalescing hit
 rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
 
     PYTHONPATH=src python benchmarks/run_all.py                # full
@@ -10,8 +11,8 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
     PYTHONPATH=src python benchmarks/run_all.py --check ...    # exit 1 on
                                                                # regression
 
-Stages: ``synthesize_mdac``, ``equation_metric_stage`` and
-``evaluate_batch`` (compiled vs legacy kernels), ``template_cache``,
+Stages: ``synthesize_mdac`` and ``equation_metric_stage`` (compiled
+kernels vs the oracles), ``template_cache``,
 ``behavioral``, ``service``, ``fabric`` — the distributed execution
 fabric measured against a live HTTP broker and real ``repro-adc worker``
 subprocesses: per-task lease overhead (submit/lease/heartbeat/ack round
@@ -25,8 +26,8 @@ telemetry overhead on a 48-candidate ``evaluate_batch`` pass, ``off`` vs
 counter micro-rate (see ``benchmarks/bench_obs.py``).
 
 ``--check`` is the CI regression guard: it fails the run when the compiled
-kernel is slower than the legacy path on the same workload, when any
-variant's synthesis result diverges (the bit-identity contract), when a
+kernel is slower than the legacy-evaluator oracle on the same workload,
+when any variant's synthesis result diverges (the bit-identity contract), when a
 warm template store still compiles, when the behavioral batch kernel is
 not bit-identical to the scalar walk or misses its 5x floor at 256
 draws, when the service stage breaks its coalescing contract (N
@@ -52,10 +53,11 @@ import tempfile
 import time
 import traceback
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from repro.analysis.ac import ac_system_stack, ac_transfer, solve_ac_stack
+from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
 from repro.analysis.template import (
     TEMPLATE_STATS,
@@ -73,6 +75,14 @@ from repro.synth import HybridEvaluator, synthesize_mdac, two_stage_space
 from repro.synth.evaluator import _AC_FREQS
 from repro.tech import CMOS025
 
+# The reference walks live in the test tree (tests/oracles/).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import (  # noqa: E402
+    LegacyEvaluator,
+    ac_response_loop,
+    simulate_draws_scalar,
+)
+
 
 def _block_spec():
     spec = AdcSpec(resolution_bits=13)
@@ -80,7 +90,7 @@ def _block_spec():
     return plan.mdacs[2]
 
 
-def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
+def _time_synthesize(budget: int, seed_baseline: bool = False):
     mdac = _block_spec()
 
     def run():
@@ -91,12 +101,13 @@ def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
             budget=budget,
             seed=1,
             verify_transient=False,
-            kernel=kernel,
         )
         return result, time.perf_counter() - start
 
     if seed_baseline:
-        with layout_cache_disabled():
+        with layout_cache_disabled(), mock.patch(
+            "repro.synth.synthesis.HybridEvaluator", LegacyEvaluator
+        ):
             run()  # warm module/caches
             result, wall = run()
     else:
@@ -106,9 +117,9 @@ def _time_synthesize(kernel: str, budget: int, seed_baseline: bool = False):
 
 
 def stage_synthesize(budget: int) -> dict:
-    """Full-candidate equation-evaluation throughput per kernel."""
-    legacy, legacy_wall = _time_synthesize("legacy", budget, seed_baseline=True)
-    compiled_, compiled_wall = _time_synthesize("compiled", budget)
+    """Full-candidate equation-evaluation throughput: compiled vs oracle."""
+    legacy, legacy_wall = _time_synthesize(budget, seed_baseline=True)
+    compiled_, compiled_wall = _time_synthesize(budget)
     identical = (
         sizing_digest(legacy) == sizing_digest(compiled_)
         and legacy.history == compiled_.history
@@ -131,13 +142,13 @@ def stage_equation_metrics(repeats: int) -> dict:
     """The AC/transfer-function stage: per-frequency loop vs batched stack."""
     mdac = _block_spec()
     space = two_stage_space(mdac, CMOS025)
-    evaluator = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+    evaluator = HybridEvaluator(mdac, CMOS025)
     rng = np.random.default_rng(1)
     staged = evaluator._stage_equation(space.decode(rng.random(space.dimension)))
     lin = staged.lin
 
     def legacy_stage():
-        return ac_transfer(lin, "out", _AC_FREQS, batched=False)
+        return ac_response_loop(lin, _AC_FREQS)[:, lin.index("out")]
 
     def batched_stage():
         stack = ac_system_stack(lin, _AC_FREQS)
@@ -158,39 +169,6 @@ def stage_equation_metrics(repeats: int) -> dict:
         "legacy_sweeps_per_s": round(legacy_rate, 1),
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
-        "identical_results": identical,
-    }
-
-
-def stage_batch_api(population: int) -> dict:
-    """evaluate_batch population scoring vs sequential evaluate."""
-    mdac = _block_spec()
-    space = two_stage_space(mdac, CMOS025)
-    rng = np.random.default_rng(7)
-    sizings = [space.decode(rng.random(space.dimension)) for _ in range(population)]
-
-    def run(kernel, batch):
-        evaluator = HybridEvaluator(mdac, CMOS025, kernel=kernel)
-        evaluator.evaluate(sizings[0])  # warm caches
-        evaluator2 = HybridEvaluator(mdac, CMOS025, kernel=kernel)
-        start = time.perf_counter()
-        if batch:
-            results = evaluator2.evaluate_batch(sizings)
-        else:
-            results = [evaluator2.evaluate(s) for s in sizings]
-        return results, time.perf_counter() - start
-
-    sequential, seq_wall = run("legacy", batch=False)
-    batched, batch_wall = run("compiled", batch=True)
-    identical = all(
-        a.cost() == b.cost() and a.violations == b.violations
-        for a, b in zip(sequential, batched)
-    )
-    return {
-        "workload": f"population of {population} random candidates",
-        "legacy_sequential_cands_per_s": round(population / seq_wall, 1),
-        "compiled_batch_cands_per_s": round(population / batch_wall, 1),
-        "speedup": round(seq_wall / batch_wall, 2),
         "identical_results": identical,
     }
 
@@ -218,7 +196,7 @@ def stage_template_cache() -> dict:
 
     def evaluate(store_dir):
         evaluator = HybridEvaluator(
-            mdac, CMOS025, kernel="compiled", template_store=store_dir
+            mdac, CMOS025, template_store=store_dir
         )
         return [evaluator.evaluate(s) for s in sizings]
 
@@ -252,9 +230,9 @@ def stage_template_cache() -> dict:
 def stage_behavioral(draws: int, samples: int) -> dict:
     """Vectorized Monte-Carlo pipeline simulation vs the scalar walk.
 
-    Same seeded mismatch draws and the same coherent stimulus through both
-    behavioral kernels.  ``draw_error_models`` is called once per kernel so
-    each gets identically-seeded fresh generators — the thermal-noise
+    Same seeded mismatch draws and the same coherent stimulus through the
+    batch program and the scalar oracle.  ``draw_error_models`` is called
+    once per side so each gets identically-seeded fresh generators — the thermal-noise
     streams, not just the static mismatches, must replay bit-for-bit.
     The 256-draw speedup floor in ``--check`` is the PR 7 acceptance bar.
     """
@@ -264,22 +242,20 @@ def stage_behavioral(draws: int, samples: int) -> dict:
     cycles = pick_coherent_cycles(samples)
     stimulus = full_scale_sine(samples, cycles, spec.full_scale)
 
-    def run(kernel):
+    def run(simulate):
         models, rngs = draw_error_models(plan, draws, 101)
-        simulate_draws(  # warm numpy/module caches
-            candidate, spec.full_scale, models[:1], stimulus, rngs=rngs[:1],
-            kernel=kernel,
+        simulate(  # warm numpy/module caches
+            candidate, spec.full_scale, models[:1], stimulus, rngs=rngs[:1]
         )
         models, rngs = draw_error_models(plan, draws, 101)
         start = time.perf_counter()
-        result = simulate_draws(
-            candidate, spec.full_scale, models, stimulus, rngs=rngs,
-            kernel=kernel,
+        result = simulate(
+            candidate, spec.full_scale, models, stimulus, rngs=rngs
         )
         return result, time.perf_counter() - start
 
-    legacy, legacy_wall = run("legacy")
-    batch, batch_wall = run("batch")
+    legacy, legacy_wall = run(simulate_draws_scalar)
+    batch, batch_wall = run(simulate_draws)
     identical = all(
         np.array_equal(getattr(legacy, field), getattr(batch, field))
         for field in ("stage_codes", "residues", "backend_codes", "codes")
@@ -304,8 +280,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_PR10.json",
                         help="output JSON path (default: BENCH_PR10.json)")
     parser.add_argument("--check", action="store_true",
-                        help="exit nonzero if compiled is slower than legacy "
-                             "or any result diverges")
+                        help="exit nonzero if compiled is slower than the "
+                             "oracle or any result diverges")
     args = parser.parse_args(argv)
 
     # Pin the BLAS/OpenMP pools exactly like the pooled backends do, and
@@ -315,7 +291,6 @@ def main(argv=None) -> int:
 
     budget = 120 if args.smoke else 400
     repeats = 10 if args.smoke else 30
-    population = 16 if args.smoke else 48
     identical = 6 if args.smoke else 8
     distinct = 8 if args.smoke else 16
     # The 256-draw point is the acceptance workload — smoke only trims the
@@ -345,7 +320,6 @@ def main(argv=None) -> int:
     stage_fns = {
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
-        "evaluate_batch": lambda: stage_batch_api(population),
         "template_cache": stage_template_cache,
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
@@ -414,12 +388,12 @@ def main(argv=None) -> int:
     if args.check:
         failures = []
         if not synth["identical_results"]:
-            failures.append("synthesize_mdac results diverged across kernels")
+            failures.append("synthesize_mdac results diverged from the oracle")
         if not eqn["identical_results"]:
-            failures.append("batched AC sweep diverged from the legacy loop")
+            failures.append("batched AC sweep diverged from the oracle loop")
         if synth["speedup_full_candidate"] < 1.0:
             failures.append(
-                "regression: compiled kernel slower than legacy on the "
+                "regression: compiled kernel slower than the oracle on the "
                 f"smoke workload ({synth['speedup_full_candidate']}x)"
             )
         if template["warm_compiled"] != 0:

@@ -41,75 +41,6 @@ def ac_system_stack(
     return out
 
 
-def ac_system_tensor(
-    linears: "list[LinearizedCircuit]",
-    frequencies_hz: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stacked systems for a *batch* of linearizations, shape (B, F, n, n).
-
-    The batch axis typically flattens candidates×corners: every
-    linearization must share the matrix size (same topology).  Each
-    ``out[b]`` is filled exactly like :func:`ac_system_stack` fills its
-    stack — the tensor form only removes the per-batch Python dispatch, so
-    slice ``[b]`` is bit-identical to ``ac_system_stack(linears[b], ...)``.
-    ``out`` (same shape, complex) is reused in place when given.
-    """
-    frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    if not linears:
-        raise AnalysisError("ac_system_tensor needs at least one linearization")
-    n = linears[0].size
-    s = 2j * math.pi * frequencies_hz
-    if out is None:
-        out = np.empty((len(linears), len(frequencies_hz), n, n), dtype=complex)
-    for b, linear in enumerate(linears):
-        if linear.size != n:
-            raise AnalysisError(
-                "ac_system_tensor requires same-size systems "
-                f"(got {linear.size} and {n})"
-            )
-        slab = out[b]
-        slab[:] = linear.g_matrix
-        rows, cols = np.nonzero(linear.c_matrix)
-        if len(rows):
-            slab[:, rows, cols] += s[:, None] * linear.c_matrix[rows, cols][None, :]
-    return out
-
-
-def solve_ac_tensor(
-    systems: np.ndarray, b_ac: np.ndarray, frequencies_hz: np.ndarray
-) -> np.ndarray:
-    """Solve a (B, F, n, n) tensor against per-batch excitations, batched.
-
-    ``b_ac`` has shape (B, n) — one excitation vector per batch entry
-    (candidate×corner).  One ``np.linalg.solve`` covers the whole tensor;
-    the gufunc applies LAPACK per (n, n) slice, so every ``[b, k]``
-    solution is bit-identical to ``np.linalg.solve(systems[b, k], b_ac[b])``
-    — and therefore to the per-corner :func:`solve_ac_stack` walk.  On
-    failure the tensor is replayed slice-by-slice so the raised
-    :class:`AnalysisError` names the first singular (batch, frequency)
-    pair.  Returns shape (B, F, n).
-    """
-    n_batch, n_freq = systems.shape[0], systems.shape[1]
-    rhs = np.broadcast_to(
-        np.asarray(b_ac)[:, None, :], (n_batch, n_freq, systems.shape[2])
-    )[..., None]
-    try:
-        return np.linalg.solve(systems, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-        for b in range(n_batch):
-            for k in range(n_freq):
-                try:
-                    np.linalg.solve(systems[b, k], np.asarray(b_ac)[b])
-                except np.linalg.LinAlgError as exc:
-                    raise AnalysisError(
-                        f"AC solve failed for batch entry {b} at "
-                        f"{frequencies_hz[k]:.3e} Hz"
-                    ) from exc
-        raise AnalysisError("AC solve failed")  # pragma: no cover
-
-
 def solve_ac_stack(
     systems: np.ndarray, b_ac: np.ndarray, frequencies_hz: np.ndarray
 ) -> np.ndarray:
@@ -118,7 +49,7 @@ def solve_ac_stack(
     One LAPACK call covers the whole sweep; each slice's solution is
     bit-identical to an individual ``np.linalg.solve``.  On failure the
     sweep is replayed slice-by-slice so the raised :class:`AnalysisError`
-    names the first singular frequency, exactly like the legacy loop.
+    names the first singular frequency, exactly like a per-frequency loop.
     """
     rhs = np.broadcast_to(b_ac, (systems.shape[0], len(b_ac)))[..., None]
     try:
@@ -136,34 +67,20 @@ def solve_ac_stack(
 
 
 def ac_response(
-    linear: LinearizedCircuit,
-    frequencies_hz: np.ndarray,
-    batched: bool = True,
+    linear: LinearizedCircuit, frequencies_hz: np.ndarray
 ) -> np.ndarray:
     """Complex solution vectors over a frequency sweep.
 
     Returns an array of shape ``(len(frequencies), size)`` whose rows are the
     MNA unknowns at each frequency, driven by the circuit's ``ac`` sources.
-
-    ``batched=True`` (default) stacks the sweep into one
-    ``np.linalg.solve`` over ``(F, n, n)`` systems — bit-identical to, and
-    far faster than, the per-frequency loop, which ``batched=False`` keeps
-    for reference/benchmark use.
+    The sweep stacks into one ``np.linalg.solve`` over ``(F, n, n)``
+    systems, bit-identical to solving each frequency on its own.
     """
     frequencies_hz = np.asarray(frequencies_hz, dtype=float)
-    if batched:
-        if len(frequencies_hz) == 0:
-            return np.empty((0, linear.size), dtype=complex)
-        systems = ac_system_stack(linear, frequencies_hz)
-        return solve_ac_stack(systems, linear.b_ac, frequencies_hz)
-    out = np.empty((len(frequencies_hz), linear.size), dtype=complex)
-    for row, frequency in enumerate(frequencies_hz):
-        s = 2j * math.pi * frequency
-        try:
-            out[row] = np.linalg.solve(linear.system_at(s), linear.b_ac)
-        except np.linalg.LinAlgError as exc:
-            raise AnalysisError(f"AC solve failed at {frequency:.3e} Hz") from exc
-    return out
+    if len(frequencies_hz) == 0:
+        return np.empty((0, linear.size), dtype=complex)
+    systems = ac_system_stack(linear, frequencies_hz)
+    return solve_ac_stack(systems, linear.b_ac, frequencies_hz)
 
 
 def ac_transfer(
@@ -171,14 +88,13 @@ def ac_transfer(
     output_net: str,
     frequencies_hz: np.ndarray,
     negative_net: str | None = None,
-    batched: bool = True,
 ) -> np.ndarray:
     """Complex transfer to ``output_net`` (optionally differential) per Hz.
 
     The excitation is whatever ``ac`` magnitudes the circuit's sources carry;
     with a single unit-magnitude source this is the transfer function.
     """
-    response = ac_response(linear, frequencies_hz, batched=batched)
+    response = ac_response(linear, frequencies_hz)
     i = linear.index(output_net)
     if i == GROUND:
         raise AnalysisError("output_net must not be ground")

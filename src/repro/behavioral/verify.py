@@ -164,7 +164,6 @@ def verify_candidate(
     *,
     draws: int,
     seed: int,
-    kernel: str = "batch",
     mismatch: MismatchSpec = DEFAULT_MISMATCH,
     samples: int = SAMPLES,
 ) -> BehavioralVerdict:
@@ -179,7 +178,7 @@ def verify_candidate(
     cycles = pick_coherent_cycles(samples)
     stimulus = full_scale_sine(samples, cycles, spec.full_scale)
     result: BatchResult = simulate_draws(
-        candidate, spec.full_scale, models, stimulus, rngs=rngs, kernel=kernel
+        candidate, spec.full_scale, models, stimulus, rngs=rngs
     )
     sndr = tuple(sndr_db(result.codes[d], cycles) for d in range(draws))
     return BehavioralVerdict(

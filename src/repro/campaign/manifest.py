@@ -17,10 +17,10 @@ that sequence this store covers.  Two operations consume it:
 Only *result-relevant* configuration enters the config digest: budgets,
 seeds (the synthesis seeds *and* the behavioral Monte-Carlo seed/draw
 count — behavioral records are a function of both) and the verification
-flag.  Execution knobs (backend, workers, eval kernel, behavioral kernel)
-are excluded for the same reason they are excluded from block
-fingerprints — records are byte-identical across them — so a campaign
-may be interrupted under one backend and resumed under another.
+flag.  Execution knobs (backend, workers, telemetry) are excluded for
+the same reason they are excluded from block fingerprints — records are
+byte-identical across them — so a campaign may be interrupted under one
+backend and resumed under another.
 ``cache_dir`` is also excluded, but for a different reason: it is a host
 path, and pinning it would break resuming a store from another checkout
 or machine.  The byte-identity caveat that already applies across

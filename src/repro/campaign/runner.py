@@ -450,7 +450,6 @@ def _behavioral_record(
         candidate,
         draws=config.behavioral_draws,
         seed=config.behavioral_seed,
-        kernel=config.behavioral_kernel,
     )
     # Walden FoM at the *simulated* effective resolution: same power and
     # rate as the analytic FoM, but 2^ENOB instead of 2^K — the honest
@@ -772,7 +771,6 @@ def run_campaign(
                                         seed=config.seed,
                                         retarget_seed=config.retarget_seed,
                                         verify_transient=config.verify_transient,
-                                        eval_kernel=config.eval_kernel,
                                         donor_pool=ledger.donors_for(
                                             scenario.spec.tech.name
                                         ),

@@ -80,9 +80,6 @@ execution engine (every flow command):
   REPRO_ADC_CACHE environment variable), so warm reruns skip synthesis.
   --budget / --retarget-budget set the cold and warm-start annealer
   evaluation budgets; --no-verify skips the transient verifier.
-  --eval-kernel picks the equation-evaluation kernel (compiled MNA
-  templates + batched AC solves by default; 'legacy' is the reference
-  walk — results are bit-identical, see docs/performance.md).
   The same knobs form FlowConfig in the Python API.
 
 campaigns:
@@ -106,8 +103,7 @@ campaigns:
   'behavioral' entry in --modes verifies each grid point's winning
   topology in the time domain: --behavioral-draws Monte-Carlo mismatch
   realizations (seeded by --seed, part of the store's identity) are
-  simulated by the vectorized batch kernel (--behavioral-kernel legacy
-  keeps the scalar reference walk; results are bit-identical) and the
+  simulated as one vectorized draws x samples program and the
   simulated SNDR/ENOB/FoM land in the same store and report as the
   analytic numbers.  See docs/behavioral.md.
 
@@ -180,14 +176,6 @@ def _engine_parent() -> argparse.ArgumentParser:
         "--no-verify",
         action="store_true",
         help="skip the transient verification of synthesized blocks",
-    )
-    group.add_argument(
-        "--eval-kernel",
-        choices=("compiled", "legacy"),
-        default="compiled",
-        help="equation-evaluation kernel (default: compiled MNA templates "
-        "with tensor-batched AC solves; 'legacy' keeps the reference "
-        "per-element walk for A/B timing — results are bit-identical)",
     )
     group.add_argument(
         "--queue-dir",
@@ -299,16 +287,12 @@ def _flow_config(args: argparse.Namespace) -> FlowConfig:
         budget=args.budget,
         retarget_budget=args.retarget_budget,
         verify_transient=not args.no_verify,
-        eval_kernel=args.eval_kernel,
         # Behavioral flags only exist on the campaign/submit parsers; the
         # figure commands fall back to the library defaults.
         behavioral_draws=getattr(
             args, "behavioral_draws", FlowConfig.behavioral_draws
         ),
         behavioral_seed=getattr(args, "seed", FlowConfig.behavioral_seed),
-        behavioral_kernel=getattr(
-            args, "behavioral_kernel", FlowConfig.behavioral_kernel
-        ),
         telemetry=getattr(args, "telemetry", FlowConfig.telemetry),
     )
 
@@ -386,14 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         help="behavioral Monte-Carlo seed: every mismatch draw and noise "
         "stream derives from it, and it is part of the store's identity "
         f"(default {FlowConfig.behavioral_seed})",
-    )
-    p_camp.add_argument(
-        "--behavioral-kernel",
-        choices=("batch", "legacy"),
-        default=FlowConfig.behavioral_kernel,
-        help="behavioral simulation kernel (default: the vectorized "
-        "draws x samples batch program; 'legacy' keeps the scalar "
-        "per-sample walk for A/B timing — results are bit-identical)",
     )
     p_camp.add_argument(
         "--corners",
@@ -590,9 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         "coalescing digest)",
     )
     p_submit.add_argument(
-        "--behavioral-kernel", choices=("batch", "legacy"), default="batch"
-    )
-    p_submit.add_argument(
         "--corners", default="nom", help="technology-corner axis (campaign)"
     )
     p_submit.add_argument(
@@ -609,9 +582,6 @@ def main(argv: list[str] | None = None) -> int:
     p_submit.add_argument("--budget", type=int, default=400)
     p_submit.add_argument("--retarget-budget", type=int, default=80)
     p_submit.add_argument("--no-verify", action="store_true")
-    p_submit.add_argument(
-        "--eval-kernel", choices=("compiled", "legacy"), default="compiled"
-    )
     p_submit.add_argument(
         "--telemetry",
         choices=TELEMETRY_MODES,
@@ -987,10 +957,8 @@ def _submit_request(args: argparse.Namespace) -> dict:
         "budget": args.budget,
         "retarget_budget": args.retarget_budget,
         "verify_transient": not args.no_verify,
-        "eval_kernel": args.eval_kernel,
         "behavioral_draws": args.behavioral_draws,
         "behavioral_seed": args.seed,
-        "behavioral_kernel": args.behavioral_kernel,
         "telemetry": args.telemetry,
     }
     if args.kind == "campaign":

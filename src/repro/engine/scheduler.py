@@ -129,15 +129,11 @@ class SynthesisJob:
     donor: SynthesisResult | None = None
     retarget_budget: int = 80
     retarget_seed: int = 7
-    #: Equation-evaluation kernel ('compiled'/'legacy').  A pure
-    #: performance knob: results (and therefore block fingerprints) are
-    #: identical across kernels.
-    eval_kernel: str = "compiled"
     #: On-disk compiled-template store directory (see
     #: :class:`repro.analysis.template.TemplateStore`) so pool/queue
     #: workers load stamp programs instead of recompiling them.  A pure
-    #: performance knob, excluded from :meth:`queue_payload` like the
-    #: kernel selector above.
+    #: performance knob: results (and therefore block fingerprints) are
+    #: identical with or without it, so :meth:`queue_payload` excludes it.
     template_dir: str | None = None
 
     def queue_payload(self) -> dict[str, Any]:
@@ -175,7 +171,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.budget,
                 seed=job.seed,
                 verify_transient=job.verify_transient,
-                kernel=job.eval_kernel,
                 template_store=job.template_dir,
             )
         else:
@@ -186,7 +181,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.retarget_budget,
                 seed=job.retarget_seed,
                 verify_transient=job.verify_transient,
-                kernel=job.eval_kernel,
                 template_store=job.template_dir,
             )
     metrics.observe(
@@ -332,7 +326,6 @@ def execute_plan(
             budget=cache.budget,
             seed=cache.seed,
             verify_transient=cache.verify_transient,
-            eval_kernel=cache.eval_kernel,
             template_dir=getattr(cache, "template_dir", None),
         )
 
@@ -398,7 +391,6 @@ def execute_plan(
                     donor=donor,
                     retarget_budget=cache.retarget_budget,
                     retarget_seed=cache.retarget_seed,
-                    eval_kernel=cache.eval_kernel,
                     template_dir=getattr(cache, "template_dir", None),
                 )
             )

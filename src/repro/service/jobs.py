@@ -14,7 +14,7 @@ hashes the spec, the mode and the same config digest.  Because the config
 digest covers only *result-relevant* fields (budgets, seeds — the
 behavioral Monte-Carlo seed and draw count included — and verification),
 two requests that differ solely in execution knobs — backend, worker
-count, eval kernel, behavioral kernel — map to the same key and coalesce: the repo-wide
+count, telemetry — map to the same key and coalesce: the repo-wide
 guarantee that results are byte-identical across those knobs is what makes
 that safe.
 
@@ -81,12 +81,30 @@ CONFIG_FIELDS = (
     "seed",
     "retarget_seed",
     "verify_transient",
-    "eval_kernel",
     "behavioral_draws",
     "behavioral_seed",
-    "behavioral_kernel",
     "telemetry",
 )
+
+#: Retired config fields that older clients still send and stored job
+#: bodies still carry: (field, label, the values that were once valid).
+#: None of them ever changed results, so a once-valid value is dropped.
+_RETIRED_CHOICES = (
+    ("dc_kernel", "DC kernel", ("chained",)),
+    ("eval_kernel", "eval kernel", ("compiled", "legacy")),
+    ("behavioral_kernel", "behavioral kernel", ("batch", "legacy")),
+)
+
+#: Integer config fields and the least value each accepts (seeds feed
+#: numpy generators, which refuse negatives; counts need at least one).
+_INT_FIELDS = {
+    "budget": 1,
+    "retarget_budget": 1,
+    "seed": 0,
+    "retarget_seed": 0,
+    "behavioral_draws": 1,
+    "behavioral_seed": 0,
+}
 
 #: Subdirectory names inside the service store root.
 JOBS_DIRNAME = "jobs"
@@ -107,17 +125,20 @@ def build_config(
     Unknown fields and unknown backend names fail with a single-line
     :class:`SpecificationError` naming the valid choices; ``cache_dir`` is
     the *server's* persistent block-cache directory (clients cannot point
-    the server at host paths).  Older clients send, and stored job bodies
-    carry, two retired fields: ``dc_kernel`` (``"chained"`` only) and
-    ``eval_speculation`` (any integer).  Neither value ever changed
-    results, so both are validated and dropped.
+    the server at host paths).  Values are type-checked here, so a bad
+    request is refused at submission instead of failing (or silently
+    running with the wrong value) inside the job.  Older clients send, and
+    stored job bodies carry, retired fields: the kernel selectors in
+    :data:`_RETIRED_CHOICES` and ``eval_speculation`` (any integer).  None
+    of them ever changed results, so they are validated and dropped.
     """
     body = dict(config_body or {})
-    dc_kernel = body.pop("dc_kernel", "chained")
-    if dc_kernel != "chained":
-        raise SpecificationError(
-            f"unknown DC kernel {dc_kernel!r} (valid: chained)"
-        )
+    for name, label, valid in _RETIRED_CHOICES:
+        value = body.pop(name, valid[0])
+        if value not in valid:
+            raise SpecificationError(
+                f"unknown {label} {value!r} (valid: {', '.join(valid)})"
+            )
     depth = body.pop("eval_speculation", 0)
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise SpecificationError(
@@ -135,16 +156,22 @@ def build_config(
             f"unknown execution backend {backend!r} "
             f"(valid: {', '.join(sorted(BACKENDS))})"
         )
-    kernel = body.get("eval_kernel", "compiled")
-    if kernel not in ("compiled", "legacy"):
+    for name, least in _INT_FIELDS.items():
+        if name in body and not _is_int_at_least(body[name], least):
+            raise SpecificationError(
+                f"bad config: {name} must be an integer >= {least}, "
+                f"got {body[name]!r}"
+            )
+    workers = body.get("max_workers")
+    if workers is not None and not _is_int_at_least(workers, 1):
         raise SpecificationError(
-            f"unknown eval kernel {kernel!r} (valid: compiled, legacy)"
+            "bad config: max_workers must be null or an integer >= 1, "
+            f"got {workers!r}"
         )
-    behavioral_kernel = body.get("behavioral_kernel", "batch")
-    if behavioral_kernel not in ("batch", "legacy"):
+    verify = body.get("verify_transient", True)
+    if not isinstance(verify, bool):
         raise SpecificationError(
-            f"unknown behavioral kernel {behavioral_kernel!r} "
-            "(valid: batch, legacy)"
+            f"bad config: verify_transient must be true or false, got {verify!r}"
         )
     telemetry = body.get("telemetry", "metrics")
     if telemetry not in TELEMETRY_MODES:
@@ -156,6 +183,11 @@ def build_config(
         return FlowConfig(cache_dir=cache_dir, **body)
     except TypeError as exc:
         raise SpecificationError(f"bad config: {exc}") from exc
+
+
+def _is_int_at_least(value: Any, least: int) -> bool:
+    """True for a real integer (``bool`` excluded) no smaller than ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def build_grid(grid_body: dict) -> CampaignGrid:

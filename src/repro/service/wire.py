@@ -319,9 +319,9 @@ def synthesis_task_payload(job: Any) -> dict:
 
     Two fields of the raw dataclass cannot enter a content address: the
     donor's ``wall_seconds`` is nondeterministic (so the donor collapses to
-    its :func:`~repro.engine.persist.sizing_digest`), and the kernel and
-    template knobs are excluded because results are bit-identical across
-    them.
+    its :func:`~repro.engine.persist.sizing_digest`), and the template
+    directory is excluded because results are bit-identical with or
+    without it.
     """
     from repro.engine.persist import sizing_digest
 

@@ -38,7 +38,6 @@ def synthesize_mdac(
     x0: np.ndarray | None = None,
     verify_transient: bool = True,
     retargeted: bool = False,
-    kernel: str = "compiled",
     template_store: str | None = None,
 ) -> SynthesisResult:
     """Synthesize one MDAC opamp; returns the verified result.
@@ -46,16 +45,14 @@ def synthesize_mdac(
     ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
     ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
 
-    ``kernel`` selects the equation-evaluation kernel (``"compiled"``, the
-    template+batched-solve default, or ``"legacy"``, the reference walk);
     ``template_store`` points at an on-disk compiled-template store
     (:class:`~repro.analysis.template.TemplateStore` directory) so worker
-    processes load the stamp program instead of recompiling it.  Both knobs
-    are pure performance choices: results are bit-identical across them.
+    processes load the stamp program instead of recompiling it — a pure
+    performance choice: results are bit-identical with or without it.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
-    evaluator = HybridEvaluator(mdac, tech, kernel=kernel, template_store=template_store)
+    evaluator = HybridEvaluator(mdac, tech, template_store=template_store)
 
     def cost_fn(u: np.ndarray) -> float:
         return evaluator.evaluate(space.decode(u)).cost()

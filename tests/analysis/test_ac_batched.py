@@ -1,4 +1,4 @@
-"""Batched AC solves: one stacked solve, bit-identical to the legacy loop."""
+"""Batched AC solves: one stacked solve, bit-identical to the per-frequency oracle."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from repro.analysis.mna import layout_for
 from repro.circuit.builder import CircuitBuilder
 from repro.errors import AnalysisError
 from repro.tech import CMOS025
+from tests.oracles import ac_response_loop
 
 
 def _rc_circuit():
@@ -29,8 +30,8 @@ class TestBatchedAc:
     def test_batched_equals_loop_bitwise(self):
         lin = _linear()
         freqs = np.logspace(2, 9, 181)
-        loop = ac_response(lin, freqs, batched=False)
-        batched = ac_response(lin, freqs, batched=True)
+        loop = ac_response_loop(lin, freqs)
+        batched = ac_response(lin, freqs)
         assert np.array_equal(loop, batched)
 
     def test_system_stack_matches_system_at(self):
@@ -50,12 +51,12 @@ class TestBatchedAc:
 
     def test_empty_sweep(self):
         lin = _linear()
-        out = ac_response(lin, np.array([]), batched=True)
+        out = ac_response(lin, np.array([]))
         assert out.shape == (0, lin.size)
 
     def test_singular_system_names_first_bad_frequency(self):
         # A row of zeros makes every frequency singular; the error must
-        # name the first one in sweep order, exactly like the legacy loop.
+        # name the first one in sweep order, exactly like the oracle loop.
         lin = _linear()
         g = lin.g_matrix.copy()
         c = lin.c_matrix.copy()
@@ -71,9 +72,9 @@ class TestBatchedAc:
         )
         freqs = np.array([7.5e3, 1e6])
         with pytest.raises(AnalysisError) as batched_err:
-            ac_response(broken, freqs, batched=True)
+            ac_response(broken, freqs)
         with pytest.raises(AnalysisError) as loop_err:
-            ac_response(broken, freqs, batched=False)
+            ac_response_loop(broken, freqs)
         assert "7.500e+03" in str(batched_err.value)
         assert str(batched_err.value) == str(loop_err.value)
 
@@ -82,5 +83,5 @@ class TestBatchedAc:
         freqs = np.logspace(3, 6, 9)
         stack = ac_system_stack(lin, freqs)
         solutions = solve_ac_stack(stack, lin.b_ac, freqs)
-        reference = ac_response(lin, freqs, batched=False)
+        reference = ac_response_loop(lin, freqs)
         assert np.array_equal(solutions, reference)

@@ -139,13 +139,13 @@ class TestEvaluatorIntegration:
         bench, mdac, space = _opamp_bench(3)
         rng = np.random.default_rng(5)
         sizings = [space.decode(rng.random(space.dimension)) for _ in range(3)]
-        plain = HybridEvaluator(mdac, CMOS025, kernel="compiled")
+        plain = HybridEvaluator(mdac, CMOS025)
         references = [plain.evaluate(s) for s in sizings]
 
         _TEMPLATE_CACHE.clear()
         reset_template_stats()
         stored = HybridEvaluator(
-            mdac, CMOS025, kernel="compiled", template_store=str(tmp_path)
+            mdac, CMOS025, template_store=str(tmp_path)
         )
         assert isinstance(stored.template_store, TemplateStore)
         for ref, sizing in zip(references, sizings):
@@ -158,7 +158,7 @@ class TestEvaluatorIntegration:
         _TEMPLATE_CACHE.clear()
         reset_template_stats()
         warm = HybridEvaluator(
-            mdac, CMOS025, kernel="compiled", template_store=str(tmp_path)
+            mdac, CMOS025, template_store=str(tmp_path)
         )
         for ref, sizing in zip(references, sizings):
             assert warm.evaluate(sizing).cost() == ref.cost()

@@ -181,7 +181,7 @@ class TestManifestIdentity:
         assert config_digest(_config(behavioral_draws=8)) != base
         assert config_digest(_config(behavioral_seed=202)) != base
 
-    def test_kernel_is_an_execution_knob_not_identity(self):
-        assert config_digest(_config(behavioral_kernel="legacy")) == config_digest(
-            _config(behavioral_kernel="batch")
+    def test_execution_knobs_are_not_identity(self):
+        assert config_digest(_config(telemetry="off")) == config_digest(
+            _config(telemetry="trace")
         )

@@ -185,7 +185,7 @@ class TestManifestGuards:
             run_campaign(ANALYTIC_GRID, store_dir=store, resume=True, shard=(2, 2))
 
     def test_execution_knobs_do_not_poison_the_manifest(self, tmp_path):
-        # Backend/workers/cache/kernel are execution-only: a campaign
+        # Backend/workers/telemetry are execution-only: a campaign
         # interrupted under one backend may resume under another.
         store = tmp_path / "store"
         with pytest.raises(_Interrupt):
@@ -197,7 +197,7 @@ class TestManifestGuards:
             )
         resumed = run_campaign(
             ANALYTIC_GRID,
-            config=FlowConfig(backend="process", max_workers=2, eval_kernel="legacy"),
+            config=FlowConfig(backend="process", max_workers=2, telemetry="off"),
             store_dir=store,
             resume=True,
         )

@@ -185,20 +185,37 @@ class TestFriendlyErrors:
 
 
 class TestRetiredFlags:
-    @pytest.mark.parametrize("command", ["campaign", "explore", "submit"])
+    @pytest.mark.parametrize("command", ["campaign", "explore", "submit", "fig2"])
     def test_removed_kernel_flags_are_gone(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         help_text = capsys.readouterr().out
-        for flag in ("--dc-kernel", "--speculation", "--no-speculation"):
+        for flag in (
+            "--dc-kernel",
+            "--speculation",
+            "--no-speculation",
+            "--eval-kernel",
+            "--behavioral-kernel",
+        ):
             assert flag not in help_text
 
-
-    @pytest.mark.parametrize("command", ["campaign", "explore", "submit"])
+    @pytest.mark.parametrize("command", ["campaign", "explore", "submit", "fig2"])
     @pytest.mark.parametrize(
         "flag",
-        [["--dc-kernel", "chained"], ["--speculation", "8"], ["--no-speculation"]],
-        ids=["dc-kernel", "speculation", "no-speculation"],
+        [
+            ["--dc-kernel", "chained"],
+            ["--speculation", "8"],
+            ["--no-speculation"],
+            ["--eval-kernel", "legacy"],
+            ["--behavioral-kernel", "legacy"],
+        ],
+        ids=[
+            "dc-kernel",
+            "speculation",
+            "no-speculation",
+            "eval-kernel",
+            "behavioral-kernel",
+        ],
     )
     def test_removed_kernel_flags_are_rejected(self, command, flag, capsys):
         # Old scripts fail loudly instead of running with the flag ignored.
@@ -206,6 +223,7 @@ class TestRetiredFlags:
             main([command, *flag])
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestShardUnitGuard:
     def test_shard_count_above_units_is_a_friendly_error(self, capsys):

@@ -1,15 +1,18 @@
-"""Campaign records must be byte-identical across evaluation kernels.
+"""Campaign records must be byte-identical to the legacy-evaluator oracle.
 
-The compiled kernel is the default (`FlowConfig.eval_kernel`), so a
-campaign run through it must write exactly the bytes a legacy-kernel run
-writes — and stay byte-identical across execution backends, extending the
-PR 1/PR 2 determinism guarantees to the kernel layer.
+A campaign run on the compiled equation path must write exactly the bytes
+a run on :class:`tests.oracles.LegacyEvaluator` writes — and stay
+byte-identical across execution backends, extending the backend
+determinism guarantees to the equation layer.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro.campaign import CampaignGrid, run_campaign
 from repro.engine.config import FlowConfig
+from tests.oracles import LegacyEvaluator
 
 
 def _store_bytes(tmp_path, label, **config_kwargs):
@@ -29,19 +32,16 @@ def _store_bytes(tmp_path, label, **config_kwargs):
 @pytest.fixture(scope="module")
 def stores(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("kernel-determinism")
+    oracle = mock.Mock(side_effect=LegacyEvaluator)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.synth.synthesis.HybridEvaluator", oracle)
+        legacy = _store_bytes(tmp_path, "legacy-serial")
+    assert oracle.called
     return {
-        "legacy-serial": _store_bytes(
-            tmp_path, "legacy-serial", eval_kernel="legacy"
-        ),
-        "compiled-serial": _store_bytes(
-            tmp_path, "compiled-serial", eval_kernel="compiled"
-        ),
+        "legacy-serial": legacy,
+        "compiled-serial": _store_bytes(tmp_path, "compiled-serial"),
         "compiled-thread": _store_bytes(
-            tmp_path,
-            "compiled-thread",
-            eval_kernel="compiled",
-            backend="thread",
-            max_workers=2,
+            tmp_path, "compiled-thread", backend="thread", max_workers=2
         ),
     }
 
@@ -52,8 +52,3 @@ def test_compiled_matches_legacy_bytes(stores):
 
 def test_compiled_thread_matches_legacy_bytes(stores):
     assert stores["compiled-thread"] == stores["legacy-serial"]
-
-
-def test_default_config_uses_compiled_kernel():
-    config = FlowConfig()
-    assert config.eval_kernel == "compiled"

@@ -129,12 +129,21 @@ class TestFlowConfig:
         persistent = FlowConfig(cache_dir=str(tmp_path)).make_cache(CMOS025)
         assert isinstance(persistent, PersistentBlockCache)
 
-    def test_has_sixteen_fields(self):
+    def test_has_fourteen_fields(self):
         import dataclasses
 
-        assert len(dataclasses.fields(FlowConfig)) == 16
+        assert len(dataclasses.fields(FlowConfig)) == 14
 
-    @pytest.mark.parametrize("field", ["dc_kernel", "eval_speculation", "chunksize"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "dc_kernel",
+            "eval_speculation",
+            "chunksize",
+            "eval_kernel",
+            "behavioral_kernel",
+        ],
+    )
     def test_retired_fields_are_rejected(self, field):
         with pytest.raises(TypeError, match=field):
             FlowConfig(**{field: 1})

@@ -299,8 +299,9 @@ class TestTaskKeys:
             job, donor=dataclasses.replace(donor, wall_seconds=donor.wall_seconds + 5)
         )
         assert task_key(run_synthesis_job, job) == task_key(run_synthesis_job, twin)
-        # ...but kernel knobs share acks deliberately (bit-identical results)
-        fast = dataclasses.replace(job, eval_kernel="legacy")
+        # ...but performance knobs share acks deliberately (bit-identical
+        # results)
+        fast = dataclasses.replace(job, template_dir="/tmp/templates")
         assert task_key(run_synthesis_job, job) == task_key(run_synthesis_job, fast)
         # ...while a different search does not.
         other = dataclasses.replace(job, seed=2)

@@ -41,14 +41,14 @@ class TestContentKeys:
         assert parse_request(explicit).key == parse_request(CAMPAIGN).key
 
     def test_execution_knobs_do_not_split_the_key(self):
-        # Results are byte-identical across backend/worker/kernel choices
-        # (the repo-wide guarantee), so those knobs must coalesce.
+        # Results are byte-identical across backend/worker/telemetry
+        # choices (the repo-wide guarantee), so those knobs must coalesce.
         tweaked = {
             **CAMPAIGN,
             "config": {
                 "backend": "thread",
                 "max_workers": 4,
-                "eval_kernel": "legacy",
+                "telemetry": "trace",
                 "eval_speculation": 8,
             },
         }
@@ -128,11 +128,82 @@ class TestValidation:
         old_body = {**CAMPAIGN, "config": {"dc_kernel": "chained", "eval_speculation": 8}}
         assert parse_request(old_body).key == parse_request(CAMPAIGN).key
 
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {"eval_kernel": "compiled"},
+            {"eval_kernel": "legacy"},
+            {"behavioral_kernel": "batch"},
+            {"behavioral_kernel": "legacy"},
+            {"eval_kernel": "legacy", "behavioral_kernel": "legacy"},
+        ],
+    )
+    def test_retired_selectors_are_accepted_and_ignored(self, retired):
+        # Every value older clients could send, on its own or together.
+        assert build_config({"budget": 123, **retired}) == FlowConfig(budget=123)
+        old_body = {**CAMPAIGN, "config": retired}
+        assert parse_request(old_body).key == parse_request(CAMPAIGN).key
+
     @pytest.mark.parametrize("value", ["batched", "lockstep"])
     def test_retired_dc_kernel_rejects_other_values(self, value):
         with pytest.raises(SpecificationError, match="unknown DC kernel") as info:
             build_config({"dc_kernel": value})
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eval_kernel", "quantum", "unknown eval kernel"),
+            ("eval_kernel", None, "unknown eval kernel"),
+            ("behavioral_kernel", "vectorized", "unknown behavioral kernel"),
+            ("behavioral_kernel", 1, "unknown behavioral kernel"),
+        ],
+    )
+    def test_retired_selectors_reject_other_values(self, field, value, message):
+        with pytest.raises(SpecificationError, match=message) as info:
+            build_config({field: value})
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", "x"),
+            ("budget", 0),
+            ("budget", 12.0),
+            ("budget", True),
+            ("retarget_budget", -5),
+            ("seed", "1"),
+            ("seed", -1),
+            ("retarget_seed", None),
+            ("behavioral_draws", 0),
+            ("behavioral_seed", False),
+            ("verify_transient", "no"),
+            ("verify_transient", 0),
+            ("verify_transient", None),
+            ("max_workers", 0),
+            ("max_workers", "4"),
+            ("max_workers", True),
+        ],
+    )
+    def test_mistyped_values_are_refused(self, field, value):
+        # Refused at submission, not inside the job: "no" is truthy and
+        # would otherwise run (and coalesce onto) a verifying job.
+        with pytest.raises(SpecificationError, match=field) as info:
+            build_config({field: value})
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"budget": 1, "retarget_budget": 1, "behavioral_draws": 1},
+            {"seed": 0, "retarget_seed": 0, "behavioral_seed": 0},
+            {"verify_transient": False},
+            {"max_workers": None},
+            {"max_workers": 1},
+        ],
+    )
+    def test_boundary_values_are_accepted(self, config):
+        assert build_config(config) == FlowConfig(**config)
 
     def test_retired_speculation_rejects_non_integers(self):
         with pytest.raises(SpecificationError, match="eval_speculation"):

@@ -172,6 +172,26 @@ class TestErrors:
         finally:
             connection.close()
 
+    def test_mistyped_config_is_a_400(self, server):
+        import http.client
+
+        connection = http.client.HTTPConnection(
+            server.service.host, server.service.port, timeout=30
+        )
+        body = {**CAMPAIGN, "config": {"verify_transient": "no"}}
+        try:
+            connection.request(
+                "POST",
+                "/v1/jobs",
+                body=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "verify_transient" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
     def test_bad_request_fields_surface_as_service_errors(self, client):
         with pytest.raises(ServiceError, match="process, queue, serial"):
             client.submit({**CAMPAIGN, "config": {"backend": "gpu"}})

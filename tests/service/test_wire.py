@@ -197,7 +197,7 @@ class TestSynthesisTaskPayload:
 
     def test_performance_knobs_never_enter_the_digest(self):
         base = digest(wire.synthesis_task_payload(_job()))
-        tweaked = _job(eval_kernel="legacy", template_dir="/tmp/x")
+        tweaked = _job(template_dir="/tmp/x")
         assert digest(wire.synthesis_task_payload(tweaked)) == base
 
 
