@@ -1,4 +1,4 @@
-"""Run the standalone benchmark suite and emit ``BENCH_PR10.json``.
+"""Run the standalone benchmark suite and emit ``BENCH_smoke.json``.
 
 Standalone (no pytest): fixed seeds, deterministic workloads, wall-clock
 measurements of the compiled evaluation kernels against the reference
@@ -277,8 +277,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny budgets for CI (seconds, not minutes)")
-    parser.add_argument("--out", default="BENCH_PR10.json",
-                        help="output JSON path (default: BENCH_PR10.json)")
+    parser.add_argument("--out", default="BENCH_smoke.json",
+                        help="output JSON path (default: BENCH_smoke.json)")
     parser.add_argument("--check", action="store_true",
                         help="exit nonzero if compiled is slower than the "
                              "oracle or any result diverges")

@@ -64,7 +64,7 @@ from repro.campaign.store import (
 from repro.behavioral.verify import verify_candidate
 from repro.enumeration.candidates import enumerate_candidates
 from repro.errors import CampaignInterrupted, SpecificationError
-from repro.engine.backend import ExecutionBackend
+from repro.engine.backend import ExecutionBackend, create_backend
 from repro.engine.cancel import CancelToken
 from repro.engine.config import FlowConfig
 from repro.engine.persist import digest as persist_digest, sizing_digest
@@ -735,7 +735,7 @@ def run_campaign(
             if progress is not None:
                 progress(scenario_result)
 
-        backend = config.make_backend()
+        backend = create_backend(config.backend, config)
         try:
             with span(
                 "campaign.run",

@@ -192,14 +192,6 @@ def _engine_parent() -> argparse.ArgumentParser:
         "instance; tasks execute on attached repro-adc worker processes)",
     )
     group.add_argument(
-        "--broker-wait-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort --backend broker dispatch after SECONDS without any "
-        "ack, failure, or live worker lease (default 300; 0 waits forever)",
-    )
-    group.add_argument(
         "--telemetry",
         choices=TELEMETRY_MODES,
         default=FlowConfig.telemetry,
@@ -264,13 +256,6 @@ def _flow_config(args: argparse.Namespace) -> FlowConfig:
             f"(got --backend {args.backend}; valid backends: "
             f"{', '.join(sorted(BACKENDS))})"
         )
-    broker_wait_timeout = getattr(args, "broker_wait_timeout", None)
-    if broker_wait_timeout is not None and args.backend != "broker":
-        raise SpecificationError(
-            f"--broker-wait-timeout only applies to --backend broker "
-            f"(got --backend {args.backend}; valid backends: "
-            f"{', '.join(sorted(BACKENDS))})"
-        )
     _require_store_dir(args.queue_dir, "--queue-dir")
     _require_store_dir(args.cache_dir, "--cache-dir")
     return FlowConfig(
@@ -279,11 +264,6 @@ def _flow_config(args: argparse.Namespace) -> FlowConfig:
         cache_dir=args.cache_dir,
         queue_dir=args.queue_dir,
         broker_url=broker_url,
-        broker_wait_timeout=(
-            FlowConfig.broker_wait_timeout
-            if broker_wait_timeout is None
-            else broker_wait_timeout
-        ),
         budget=args.budget,
         retarget_budget=args.retarget_budget,
         verify_transient=not args.no_verify,

@@ -6,8 +6,9 @@ The engine layer is the orchestration spine introduced between the flow
 * :mod:`repro.engine.backend` — the :class:`ExecutionBackend` contract with
   serial and process-pool implementations;
 * :mod:`repro.engine.broker` — the :class:`Broker` task-distribution
-  protocol (directory and HTTP implementations) behind the work queue and
-  the ``repro-adc worker`` fleet;
+  protocol (directory and HTTP implementations) and the one backend behind
+  both ``queue`` (local executor threads) and ``broker`` (the
+  ``repro-adc worker`` fleet);
 * :mod:`repro.engine.scheduler` — deduplicated, wave-ordered synthesis
   scheduling that preserves nearest-donor warm starts under parallelism;
 * :mod:`repro.engine.persist` — content-fingerprinted on-disk persistence
@@ -26,7 +27,6 @@ from repro.engine.backend import (
     SerialBackend,
     ThreadPoolBackend,
     create_backend,
-    make_backend,
 )
 from repro.engine.config import DEFAULT_FLOW_CONFIG, FlowConfig
 from repro.engine.persist import block_fingerprint, load_result, store_result
@@ -54,7 +54,6 @@ __all__ = [
     "create_backend",
     "execute_plan",
     "load_result",
-    "make_backend",
     "plan_synthesis",
     "run_synthesis_job",
     "store_result",

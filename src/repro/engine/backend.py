@@ -17,7 +17,6 @@ serial results bit-for-bit.
 
 from __future__ import annotations
 
-import inspect
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (
@@ -158,62 +157,55 @@ class ThreadPoolBackend(_PooledBackend):
     executor_cls = ThreadPoolExecutor
 
 
-def _make_queue_backend(max_workers=None, queue_dir=None):
-    """Factory for the file-backed work-queue backend (lazy import)."""
-    from repro.engine.workqueue import QueueBackend
+def _broker_backend(name: str) -> Callable[..., ExecutionBackend]:
+    """Factory for ``queue`` / ``broker``: one :class:`BrokerBackend` class.
 
-    return QueueBackend(max_workers=max_workers, queue_dir=queue_dir)
-
-
-def _make_broker_backend(
-    max_workers=None, queue_dir=None, broker_url=None, wait_timeout=None
-):
-    """Factory for the distributed broker backend (lazy import).
-
-    ``wait_timeout`` semantics: ``None`` keeps the backend's finite default
-    (:data:`~repro.engine.broker.DEFAULT_WAIT_TIMEOUT`); zero or negative
-    means wait forever.
+    Imported lazily so ``import repro.cli`` stays clear of the fabric.  The
+    name alone decides who executes: ``queue`` runs tasks on this process's
+    threads, ``broker`` publishes them to ``repro-adc worker`` processes.
     """
-    from repro.engine.broker import DEFAULT_WAIT_TIMEOUT, BrokerBackend
 
-    if wait_timeout is None:
-        wait_timeout = DEFAULT_WAIT_TIMEOUT
-    elif wait_timeout <= 0:
-        wait_timeout = None
-    return BrokerBackend(
-        broker_url=broker_url,
-        queue_dir=queue_dir,
-        max_workers=max_workers,
-        wait_timeout=wait_timeout,
-    )
+    def factory(max_workers=None, queue_dir=None, broker_url=None):
+        from repro.engine.broker import BrokerBackend
+
+        return BrokerBackend(
+            name=name,
+            broker_url=broker_url,
+            queue_dir=queue_dir,
+            max_workers=max_workers,
+        )
+
+    return factory
 
 
-#: Registered backend names -> factories.  Extension point: register a new
-#: name here (or assign ``BACKENDS['myname'] = factory`` at import time) and
-#: every FlowConfig / CLI ``--backend`` choice picks it up.  Factories that
-#: accept a ``queue_dir`` / ``broker_url`` keyword receive the matching
-#: :class:`FlowConfig` field.
+#: Registered backend names -> factories.  Every factory takes the same
+#: keywords — ``max_workers``, ``queue_dir``, ``broker_url`` — and ignores
+#: the ones it has no use for.
 BACKENDS: dict[str, Callable[..., ExecutionBackend]] = {
-    "serial": lambda max_workers=None: SerialBackend(),
-    "thread": ThreadPoolBackend,
-    "process": ProcessPoolBackend,
-    "queue": _make_queue_backend,
-    "broker": _make_broker_backend,
+    "serial": lambda max_workers=None, queue_dir=None, broker_url=None: (
+        SerialBackend()
+    ),
+    "thread": lambda max_workers=None, queue_dir=None, broker_url=None: (
+        ThreadPoolBackend(max_workers)
+    ),
+    "process": lambda max_workers=None, queue_dir=None, broker_url=None: (
+        ProcessPoolBackend(max_workers)
+    ),
+    "queue": _broker_backend("queue"),
+    "broker": _broker_backend("broker"),
 }
 
 
-def make_backend(
-    name: str,
-    max_workers: int | None = None,
-    queue_dir: str | None = None,
-    broker_url: str | None = None,
-    wait_timeout: float | None = None,
-) -> ExecutionBackend:
-    """Instantiate a backend by registered name.
+def create_backend(name: str, config: Any = None) -> ExecutionBackend:
+    """The one construction path for execution backends.
 
-    ``queue_dir``, ``broker_url``, and ``wait_timeout`` are forwarded only
-    to factories whose signature accepts them (the work-queue and broker
-    backends); other backends ignore them.
+    ``config`` is anything shaped like :class:`~repro.engine.config.FlowConfig`
+    (only ``max_workers``, ``queue_dir`` and ``broker_url`` are read);
+    ``None`` builds the backend with registry defaults.  The CLI, the flow,
+    the campaign runner and the service scheduler all come through here, so
+    an unknown name fails identically everywhere — one
+    :class:`~repro.errors.SpecificationError` the CLI renders as its
+    single-line ``repro-adc: error:`` form.
     """
     try:
         factory = BACKENDS[name]
@@ -222,36 +214,8 @@ def make_backend(
         raise SpecificationError(
             f"unknown execution backend {name!r} (known: {known})"
         ) from None
-    kwargs: dict[str, Any] = {"max_workers": max_workers}
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):
-        params = {}
-    if "queue_dir" in params:
-        kwargs["queue_dir"] = queue_dir
-    if "broker_url" in params:
-        kwargs["broker_url"] = broker_url
-    if "wait_timeout" in params:
-        kwargs["wait_timeout"] = wait_timeout
-    return factory(**kwargs)
-
-
-def create_backend(name: str, config: Any = None) -> ExecutionBackend:
-    """The one construction path for execution backends.
-
-    ``config`` is anything shaped like :class:`~repro.engine.config.FlowConfig`
-    (only the execution knobs are read); ``None`` builds the backend with
-    registry defaults.  The CLI, the campaign runner, and the service
-    scheduler all come through here, so an unknown name fails identically
-    everywhere — one :class:`~repro.errors.SpecificationError` the CLI
-    renders as its single-line ``repro-adc: error:`` form.
-    """
-    if config is None:
-        return make_backend(name)
-    return make_backend(
-        name,
+    return factory(
         max_workers=getattr(config, "max_workers", None),
         queue_dir=getattr(config, "queue_dir", None),
         broker_url=getattr(config, "broker_url", None),
-        wait_timeout=getattr(config, "broker_wait_timeout", None),
     )

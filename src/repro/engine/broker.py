@@ -1,27 +1,28 @@
-"""The distributed execution fabric: brokers, and the backend that uses them.
+"""The execution fabric: brokers, and the one backend that dispatches through them.
 
-The file-backed work queue (:mod:`repro.engine.workqueue`) proved the
-protocol — content-addressed tasks, exclusive leases, atomic acks — but its
-lease/ack plumbing was welded to one process's thread pool.  This module
-promotes that plumbing into a pluggable :class:`Broker` with two
-implementations and a backend that dispatches through either one:
+The protocol is content-addressed tasks, exclusive leases and atomic acks.
+It sits behind a pluggable :class:`Broker` with two implementations and one
+backend:
 
 * :class:`DirectoryBroker` — the PR 4 on-disk layout behind the protocol.
   ``<key>.ack.pkl`` and ``<key>.lease`` files are byte-compatible both ways
   (old acks replay, old leases parse; new leases add worker/host/deadline
-  fields the old reader ignores).  Two new file kinds appear only when the
-  fabric is used: ``<key>.task.json`` (a pending task envelope a remote
-  worker can pick up) and ``<key>.nack.json`` (a failure record with a
-  retry count).
+  fields the old reader ignores).  Two more file kinds appear only when
+  tasks are published: ``<key>.task.json`` (a pending task envelope a
+  remote worker can pick up) and ``<key>.nack.json`` (a failure record with
+  a retry count).
 * :class:`HttpBroker` — the same protocol spoken over the optimization
   service's versioned ``/v1/broker/*`` routes, so workers on other hosts
   need nothing but a URL.
-* :class:`BrokerBackend` — ``BACKENDS['broker']``: publishes each ``map``'s
-  tasks to a broker and polls for acks, instead of executing on local
-  executor threads.  Whoever runs ``repro-adc worker`` against the same
-  broker does the executing.
+* :class:`BrokerBackend` — both ``BACKENDS['broker']`` and
+  ``BACKENDS['queue']``.  Under ``broker`` it publishes each ``map``'s
+  tasks and polls for acks while ``repro-adc worker`` processes execute
+  them.  Under ``queue`` this process's own executor threads claim, run and
+  ack the tasks through a :class:`DirectoryBroker`, writing no envelopes.
+  The two share one directory layout, so a store interrupted under either
+  name is finished by the other.
 
-Leases carry a TTL.  A worker extends its lease by heartbeating; a lease
+Leases carry a TTL.  A holder extends its lease by heartbeating; a lease
 whose deadline passed — or whose recorded pid is dead on this host — is
 reclaimed and the task re-leased, so a SIGKILLed worker costs one TTL at
 worst and usually nothing.  Determinism is inherited wholesale: tasks are
@@ -37,18 +38,28 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import socket
+import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar, runtime_checkable
 
-from repro.engine.persist import atomic_write_bytes
+from repro.engine.persist import atomic_write_bytes, digest
+from repro.engine.threads import pin_blas_threads
 from repro.errors import ServiceError, SpecificationError
 from repro.obs import metrics
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: Completed-task result files (raw pickled results, the PR 4 format).
+ACK_SUFFIX = ".ack.pkl"
+
+#: In-flight claim markers.
+LEASE_SUFFIX = ".lease"
 
 #: Pending-task envelope files (JSON, see :func:`repro.service.wire.encode_task`).
 TASK_SUFFIX = ".task.json"
@@ -75,10 +86,9 @@ NACK_SUFFIX = ".nack.json"
 #: re-leasing it and ``BrokerBackend`` surfaces the recorded error.
 MAX_RETRIES = 3
 
-#: Default lease time-to-live.  Matches the work queue's historic
-#: ``lease_timeout``: synthesis tasks run seconds to low minutes, and a
-#: worker heartbeats at TTL/3, so 60 s tolerates slow tasks while keeping
-#: reclaim-after-SIGKILL prompt.
+#: Default lease time-to-live.  Synthesis tasks run seconds to low minutes,
+#: and a holder heartbeats at TTL/3, so 60 s tolerates slow tasks while
+#: keeping reclaim-after-SIGKILL prompt.
 DEFAULT_LEASE_TTL = 60.0
 
 #: Default :class:`BrokerBackend` no-progress timeout [s].  Finite on
@@ -87,6 +97,9 @@ DEFAULT_LEASE_TTL = 60.0
 #: progress (the holder's heartbeats keep it live), so this only has to
 #: cover queue-drained-but-nobody-attached gaps, not slow tasks.
 DEFAULT_WAIT_TIMEOUT = 300.0
+
+#: Sentinel distinguishing "not run here" from a legitimately-``None`` result.
+_MISS = object()
 
 #: Task keys are hex digests (sha256 via :func:`repro.engine.persist.digest`).
 #: Everything the brokers touch on disk or serve over HTTP is validated
@@ -99,6 +112,34 @@ def check_key(key: str) -> str:
     if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
         raise ValueError(f"malformed task key {key!r}")
     return key
+
+
+def task_key(fn: Callable, task: object) -> str | None:
+    """Content address of one ``(fn, task)`` dispatch, or ``None``.
+
+    Tasks that expose a ``queue_payload()`` method (e.g.
+    :class:`~repro.engine.scheduler.SynthesisJob`) digest that stable
+    payload; everything else digests structurally.  ``None`` means the task
+    has no stable identity (its digest raised) — it still executes, it just
+    never ships to a worker or replays from an ack.
+    """
+    payload_fn = getattr(task, "queue_payload", None)
+    body = payload_fn() if callable(payload_fn) else task
+    try:
+        return digest({"fn": f"{fn.__module__}.{fn.__qualname__}", "task": body})
+    except Exception:
+        return None
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid exists on this host."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OSError):
+        return True  # exists (owned by someone else), or unknowable: keep it
+    return True
 
 
 @runtime_checkable
@@ -171,16 +212,11 @@ class DirectoryBroker:
     envelope), ``.lease`` (exclusive claim, JSON with pid/worker/host/
     deadline), ``.ack.pkl`` (raw pickled result, written atomically), and
     ``.nack.json`` (retry count + last error).  Ack and lease files are the
-    exact PR 4 formats, so stores written by the old ``QueueBackend`` replay
-    under the broker and vice versa.
+    exact PR 4 formats, so stores written by any earlier version replay.
 
-    Reclaim policy, per lease: an acked task's lease is simply swept; a
-    lease with an expired ``deadline`` is broken; a lease *without* a
-    deadline (a legacy claim, or mid-crash garbage) is broken unless its
-    recorded pid is alive on this host.  A live pid with an unexpired
-    deadline is always kept — that covers the recycled-pid case, where a
-    SIGKILLed worker's pid was reused by an unrelated process: the impostor
-    pid looks alive, but the lease still dies when its TTL runs out.
+    Reclaim policy, per lease: an acked task's lease is simply swept; any
+    other lease is broken at its deadline, or earlier when its recorded pid
+    is dead on this host (see :meth:`_lease_is_stale`).
 
     Ownership, per mutation: ``ack``/``nack``/``heartbeat`` only touch a
     lease the caller still owns (recorded worker matches, or — for legacy
@@ -225,13 +261,9 @@ class DirectoryBroker:
         return self.root / f"{check_key(key)}{TASK_SUFFIX}"
 
     def _lease_path(self, key: str) -> Path:
-        from repro.engine.workqueue import LEASE_SUFFIX
-
         return self.root / f"{check_key(key)}{LEASE_SUFFIX}"
 
     def _ack_path(self, key: str) -> Path:
-        from repro.engine.workqueue import ACK_SUFFIX
-
         return self.root / f"{check_key(key)}{ACK_SUFFIX}"
 
     def _nack_path(self, key: str) -> Path:
@@ -393,36 +425,31 @@ class DirectoryBroker:
         return True
 
     def _lease_is_stale(self, key: str) -> bool | None:
-        """None: no lease. False: a live claim. True: break it."""
-        from repro.engine.workqueue import _pid_alive
+        """None: no lease. False: a live claim. True: break it.
+
+        One rule for every lease.  It dies at its deadline; a PR 4 lease
+        has none, so its deadline is its file mtime plus this broker's TTL.
+        A dead pid on this host breaks it early (crash garbage parses to
+        pid 0, which no live process holds).  A recycled pid can make a
+        dead holder look alive, but only until the deadline.
+        """
         from repro.service import wire
 
         lease = self._lease_path(key)
         try:
             parsed = wire.parse_lease(lease.read_text(errors="replace"))
+            deadline = parsed["deadline"]
+            if deadline is None:
+                deadline = lease.stat().st_mtime + self.lease_ttl
         except FileNotFoundError:
             return None
         except OSError:
             return True
-        if parsed["deadline"] is not None:
-            if parsed["deadline"] <= time.time():
-                return True
-            # Unexpired TTL: trust it even when the pid check is available —
-            # a recycled pid must not make a dead worker look alive forever,
-            # and a live worker heartbeats before the deadline anyway.  But a
-            # *local, dead* pid is conclusive: break early, don't wait out
-            # the TTL.
-            if (
-                parsed["host"] in (None, self.host)
-                and parsed["pid"] > 0
-                and not _pid_alive(parsed["pid"])
-            ):
-                return True
-            return False
-        # Legacy lease (no deadline): the PR 4 rule — keep iff pid is alive.
-        if parsed["host"] not in (None, self.host):
-            return False  # foreign host, no TTL: unknowable, keep it
-        return not (parsed["pid"] > 0 and _pid_alive(parsed["pid"]))
+        if deadline <= time.time():
+            return True
+        return parsed["host"] in (None, self.host) and (
+            parsed["pid"] <= 0 or not _pid_alive(parsed["pid"])
+        )
 
     def break_if_stale(self, key: str) -> bool:
         """Apply the reclaim policy to one key; True if a lease was broken."""
@@ -437,8 +464,6 @@ class DirectoryBroker:
 
     def reclaim(self) -> int:
         """Sweep every lease in the directory; returns how many broke."""
-        from repro.engine.workqueue import LEASE_SUFFIX
-
         broken = 0
         try:
             leases = sorted(self.root.glob(f"*{LEASE_SUFFIX}"))
@@ -628,7 +653,6 @@ class DirectoryBroker:
 
     def stats(self) -> dict:
         """Counters plus a live census of the directory."""
-        from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX
 
         def count(suffix: str) -> int:
             try:
@@ -839,37 +863,47 @@ class HttpBroker:
 
 
 class BrokerBackend:
-    """``BACKENDS['broker']``: dispatch ``map`` through a task broker.
+    """``BACKENDS['broker']`` and ``BACKENDS['queue']``: ``map`` through a broker.
 
-    The inversion of every other backend: instead of *executing* tasks, it
-    *publishes* them (content-addressed envelopes via
-    :func:`repro.service.wire.encode_task`) and polls the broker for acks,
-    while ``repro-adc worker`` processes — anywhere that can reach the
-    broker — do the executing.  Acked results replay exactly like the work
-    queue's, so a resumed or re-sharded campaign only ships the unfinished
-    tail.  Tasks with no stable key (their digest raised) cannot ship and
-    run locally, preserving the backend contract.
+    Every task is content-addressed (:func:`task_key`) and a task whose ack
+    already exists replays instead of executing, so a resumed or re-sharded
+    campaign only runs the unfinished tail.  The registry name decides who
+    executes the rest:
 
-    Construct with ``broker_url=`` (an :class:`HttpBroker`) or ``queue_dir=``
-    (a :class:`DirectoryBroker` — the in-server dispatch path, where workers
-    ack over HTTP into the same directory the backend polls).
+    * ``broker`` publishes envelopes (:func:`repro.service.wire.encode_task`)
+      and polls for acks while ``repro-adc worker`` processes — anywhere
+      that can reach the broker — do the executing.  Construct it with
+      ``broker_url=`` (an :class:`HttpBroker`) or ``queue_dir=`` (a
+      :class:`DirectoryBroker`, the in-server dispatch path).
+    * ``queue`` executes on ``max_workers`` local threads over a
+      :class:`DirectoryBroker` at ``queue_dir`` (a private temporary
+      directory, removed on close, when ``None``).  Each thread claims its
+      task, heartbeats at TTL/3 and acks; a task that raises propagates the
+      original exception and leaves no ack, lease or nack behind.
+
+    Tasks with no stable key cannot ship or replay and run in-process.
     """
-
-    name = "broker"
 
     def __init__(
         self,
         broker: Broker | None = None,
         *,
+        name: str = "broker",
         broker_url: str | None = None,
         queue_dir: str | Path | None = None,
-        max_workers: int | None = None,  # registry parity; workers are remote
+        max_workers: int | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll_interval: float = 0.05,
-        wait_timeout: float | None = DEFAULT_WAIT_TIMEOUT,
+        wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
     ):
+        if max_workers is not None and max_workers < 1:
+            raise SpecificationError("max_workers must be >= 1")
+        self.name = name
+        self._owns_dir = name == "queue" and broker is None and queue_dir is None
+        if self._owns_dir:
+            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
         if broker is None:
-            if broker_url is not None:
+            if broker_url is not None and name != "queue":
                 broker = HttpBroker(broker_url)
             elif queue_dir is not None:
                 broker = DirectoryBroker(queue_dir, lease_ttl=lease_ttl)
@@ -879,31 +913,27 @@ class BrokerBackend:
                     "or a queue directory (--queue-dir)"
                 )
         self.broker = broker
+        #: Executor threads for ``queue`` (remote workers execute ``broker``).
+        self.max_workers = max_workers or os.cpu_count() or 1
         self.poll_interval = poll_interval
-        #: Give up if nothing moves — no ack, no failure, no *live* lease —
-        #: for this many seconds (None: wait forever).  Guards against a
-        #: fleet of zero workers; a leased task under execution counts as
-        #: progress, so slow tasks don't trip it.
+        #: Give up if nothing moves — no ack, no failure, no *live* lease,
+        #: no local execution — for this many seconds.
+        #: Guards against a fleet of zero workers; a leased task under
+        #: execution counts as progress, so slow tasks don't trip it.
         self.wait_timeout = wait_timeout
-        #: Tasks served from an existing ack instead of dispatching.
+        #: One identity for every executor thread: leases carry it, so
+        #: ack/release are ownership-checked and any thread's beat matches.
+        self.worker_id = f"{name}-{socket.gethostname()}-{os.getpid()}"
+        self._heartbeat_interval = max(lease_ttl / 3.0, 0.05)
+        self._executor: ThreadPoolExecutor | None = None
+        #: Executor threads bump the counters below concurrently.
+        self._tally = threading.Lock()
+        #: Tasks served from an existing ack instead of executing.
         self.replayed = 0
-        #: Tasks published to the broker by this backend.
+        #: Tasks published to the broker by this backend (``broker``).
         self.dispatched = 0
-
-    def _poll_statuses(self, keys: list[str]) -> dict[str, dict]:
-        """Batched ack/lease/failure poll, with a fallback for brokers
-        that predate :meth:`Broker.statuses` (two calls per key)."""
-        statuses = getattr(self.broker, "statuses", None)
-        if callable(statuses):
-            return statuses(keys)
-        out = {}
-        for key in keys:
-            out[key] = {
-                "acked": self.broker.result(key) is not None,
-                "leased": False,
-                "failure": self.broker.failure(key),
-            }
-        return out
+        #: Tasks executed and acked by this backend's threads (``queue``).
+        self.executed = 0
 
     def _take_result(self, key: str) -> tuple[bool, Any]:
         """(done, value) for one key; discards + leaves pending if corrupt."""
@@ -913,31 +943,80 @@ class BrokerBackend:
         if payload is None:
             return False, None
         try:
+            # The restricted wire decoder, not bare pickle: ack directories
+            # can be shared with remote workers.
             return True, wire.decode_result(payload)
         except Exception:
-            # An unreadable ack degrades to a retry, exactly like the work
-            # queue: drop it and let a worker re-execute the task.
+            # An unreadable ack degrades to a retry: drop it and let the
+            # task re-execute (the new ack is written atomically).
             self.broker.discard(key)
             return False, None
 
+    def _execute(self, fn: Callable[[T], R], key: str, task: T) -> Any:
+        """Claim ``key`` and run it on this thread; ``_MISS`` if held."""
+        from repro.service import wire
+
+        self.broker.break_if_stale(key)
+        if not self.broker.claim(key, self.worker_id):
+            return _MISS  # another holder claimed it first: keep polling
+        try:
+            done, value = self._take_result(key)
+            if not done:
+                with lease_heartbeat(
+                    self.broker, key, self.worker_id, self._heartbeat_interval
+                ):
+                    value = fn(task)
+                self.broker.ack(key, wire.encode_result(value), self.worker_id)
+            with self._tally:
+                if done:  # acked between the poll and the claim
+                    self.replayed += 1
+                else:
+                    self.executed += 1
+            return value
+        finally:
+            self.broker.release_if_owner(key, self.worker_id)
+
+    def _run_here(self, fn: Callable[[T], R], work: list[tuple[str, T]]) -> dict:
+        """Execute unleased tasks on the local threads: ``{key: result}``."""
+        if len(work) == 1 or self.max_workers == 1:
+            outcomes = [self._execute(fn, key, task) for key, task in work]
+        else:
+            if self._executor is None:
+                # Executor threads share this process's BLAS pools: pin
+                # them to one solver thread each (user settings win).
+                pin_blas_threads()
+                self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
+            outcomes = list(
+                self._executor.map(lambda kt: self._execute(fn, *kt), work)
+            )
+        return {
+            key: value
+            for (key, _), value in zip(work, outcomes)
+            if value is not _MISS
+        }
+
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
-        """Publish every task, poll for acks, return results in task order."""
-        from repro.engine.workqueue import task_key
+        """Apply ``fn`` to every task through the broker, in task order.
+
+        Key every task, replay existing acks, then publish the rest
+        (``broker``) and poll until each is acked.  Under ``queue`` the
+        poll's unleased keys run on local threads instead, so a key whose
+        foreign lease stays live is waited on and one whose lease goes
+        stale is claimed here.  Duplicate tasks collapse onto one
+        execution (``fn`` is pure by the backend contract).
+        """
         from repro.service import wire
 
         task_list = list(tasks)
         if not task_list:
             return []
         keys = [task_key(fn, task) for task in task_list]
+        local = self.name == "queue"
 
         results: dict[str, Any] = {}
         outstanding: dict[str, T] = {}
-        unkeyed: list[int] = []
-        for i, (key, task) in enumerate(zip(keys, task_list)):
-            if key is None:
-                unkeyed.append(i)
-                continue
-            if key in results or key in outstanding:
+        for key, task in zip(keys, task_list):
+            if key is None or key in results or key in outstanding:
                 continue
             done, value = self._take_result(key)
             if done:
@@ -946,9 +1025,10 @@ class BrokerBackend:
             else:
                 outstanding[key] = task
 
-        for key, task in outstanding.items():
-            if self.broker.submit(key, wire.encode_task(fn, task)):
-                self.dispatched += 1
+        if not local:
+            for key, task in outstanding.items():
+                if self.broker.submit(key, wire.encode_task(fn, task)):
+                    self.dispatched += 1
 
         last_progress = time.monotonic()
         delay = self.poll_interval
@@ -956,26 +1036,32 @@ class BrokerBackend:
             # One batched status poll for every outstanding key (a single
             # HTTP round trip on HttpBroker); result *bytes* are fetched
             # only for keys the poll reports acked.
-            statuses = self._poll_statuses(list(outstanding))
-            completed = []
+            statuses = self.broker.statuses(list(outstanding))
+            completed: dict[str, Any] = {}
+            unleased: list[tuple[str, T]] = []
             live_leases = 0
-            for key in outstanding:
+            for key, task in outstanding.items():
                 status = statuses.get(key, {})
                 if status.get("acked"):
                     done, value = self._take_result(key)
                     if done:
-                        results[key] = value
-                        completed.append(key)
+                        completed[key] = value
                         continue
                 if status.get("leased"):
                     live_leases += 1
+                elif local:
+                    unleased.append((key, task))
+                    continue
                 record = status.get("failure")
                 if record is not None and record["retries"] >= MAX_RETRIES:
                     raise RuntimeError(
                         f"broker task {key[:12]} failed {record['retries']} "
                         f"time(s): {record['error']}"
                     )
-            for key in completed:
+            if unleased:
+                completed.update(self._run_here(fn, unleased))
+            for key, value in completed.items():
+                results[key] = value
                 del outstanding[key]
             if completed or live_leases:
                 # A live lease is a worker mid-task: that is progress even
@@ -983,10 +1069,7 @@ class BrokerBackend:
                 # no-progress timeout — only a genuinely idle queue does.
                 last_progress = time.monotonic()
                 delay = self.poll_interval
-            elif (
-                self.wait_timeout is not None
-                and time.monotonic() - last_progress > self.wait_timeout
-            ):
+            elif time.monotonic() - last_progress > self.wait_timeout:
                 raise RuntimeError(
                     f"no broker progress for {self.wait_timeout:.0f}s with "
                     f"{len(outstanding)} task(s) outstanding — are any "
@@ -1000,16 +1083,24 @@ class BrokerBackend:
             if outstanding:
                 time.sleep(delay)
 
-        # Unkeyed tasks cannot ship (no stable identity): run them here.
-        unkeyed_results = {i: fn(task_list[i]) for i in unkeyed}
+        # Unkeyed tasks cannot ship or replay (no stable identity): run here.
+        unkeyed_results = {
+            i: fn(task)
+            for i, (key, task) in enumerate(zip(keys, task_list))
+            if key is None
+        }
         return [
             unkeyed_results[i] if key is None else results[key]
             for i, key in enumerate(keys)
         ]
 
     def close(self) -> None:
-        """Nothing pooled locally; the broker's state is its own."""
-        return None
+        """Shut the executor threads down; remove a private directory."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        if self._owns_dir:
+            shutil.rmtree(self.broker.root, ignore_errors=True)
 
     def __enter__(self) -> "BrokerBackend":
         return self
@@ -1019,12 +1110,14 @@ class BrokerBackend:
 
 
 __all__ = [
+    "ACK_SUFFIX",
     "Broker",
     "BrokerBackend",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_WAIT_TIMEOUT",
     "DirectoryBroker",
     "HttpBroker",
+    "LEASE_SUFFIX",
     "MAX_RETRIES",
     "NACK_SUFFIX",
     "STALE_AFTER_TTLS",
@@ -1032,4 +1125,5 @@ __all__ = [
     "WORKERS_DIRNAME",
     "check_key",
     "lease_heartbeat",
+    "task_key",
 ]

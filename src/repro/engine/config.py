@@ -13,8 +13,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.backend import ExecutionBackend, create_backend
-
 if TYPE_CHECKING:
     from repro.flow.cache import BlockCache
     from repro.tech.process import Technology
@@ -41,12 +39,6 @@ class FlowConfig:
     #: knob — like ``backend`` itself it never enters result identity
     #: (campaign manifests exclude it).  Ignored by the other backends.
     broker_url: str | None = None
-    #: The 'broker' backend's no-progress timeout [s]: abort a ``map`` when
-    #: no ack, failure, or live worker lease has been seen for this long
-    #: (the diagnostic names the likely cause — no workers attached).  Zero
-    #: or negative waits forever.  A pure execution knob like ``broker_url``;
-    #: never enters result identity.  Ignored by the other backends.
-    broker_wait_timeout: float = 300.0
     #: Directory for the persistent block cache; ``None`` keeps synthesis
     #: results in-memory only.
     cache_dir: str | None = None
@@ -72,10 +64,6 @@ class FlowConfig:
     #: records are byte-identical whichever mode ran them, so it never
     #: enters manifests, fingerprints or task payloads.
     telemetry: str = "metrics"
-
-    def make_backend(self) -> ExecutionBackend:
-        """Instantiate this configuration's execution backend."""
-        return create_backend(self.backend, self)
 
     def make_cache(self, tech: "Technology") -> "BlockCache":
         """Build the block cache: persistent when ``cache_dir`` is set."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.backend import create_backend
 from repro.engine.config import FlowConfig
 from repro.power.model import PowerModel, DEFAULT_POWER_MODEL
 from repro.specs.adc import AdcSpec
@@ -103,7 +104,7 @@ def extract_rules(
         _SweepTask(k, sample_rate_hz, model, config.serial())
         for k in sorted(set(resolutions))
     ]
-    backend = config.make_backend()
+    backend = create_backend(config.backend, config)
     try:
         points = backend.map(_sweep_one, tasks)
     finally:

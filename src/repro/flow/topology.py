@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.backend import ExecutionBackend
+from repro.engine.backend import ExecutionBackend, create_backend
 from repro.engine.config import FlowConfig
 from repro.engine.scheduler import execute_plan, plan_synthesis
 from repro.enumeration.candidates import PipelineCandidate, enumerate_candidates
@@ -159,7 +159,7 @@ def optimize_topology(
 
     owns_backend = backend is None
     if backend is None:
-        backend = config.make_backend()
+        backend = create_backend(config.backend, config)
     try:
         if mode == "analytic":
             tasks = [_AnalyticTask(spec, cand, model) for cand in candidates]

@@ -196,6 +196,7 @@ class TestRetiredFlags:
             "--no-speculation",
             "--eval-kernel",
             "--behavioral-kernel",
+            "--broker-wait-timeout",
         ):
             assert flag not in help_text
 
@@ -208,6 +209,7 @@ class TestRetiredFlags:
             ["--no-speculation"],
             ["--eval-kernel", "legacy"],
             ["--behavioral-kernel", "legacy"],
+            ["--broker-wait-timeout", "30"],
         ],
         ids=[
             "dc-kernel",
@@ -215,6 +217,7 @@ class TestRetiredFlags:
             "no-speculation",
             "eval-kernel",
             "behavioral-kernel",
+            "broker-wait-timeout",
         ],
     )
     def test_removed_kernel_flags_are_rejected(self, command, flag, capsys):

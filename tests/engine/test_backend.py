@@ -8,7 +8,7 @@ from repro.engine.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
-    make_backend,
+    create_backend,
 )
 from repro.engine.config import FlowConfig
 from repro.errors import SpecificationError
@@ -89,23 +89,35 @@ class TestFactory:
     def test_registry_names(self):
         assert {"serial", "thread", "process"} <= set(BACKENDS)
 
-    def test_make_backend(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        backend = make_backend("process", max_workers=3)
+    def test_create_backend(self):
+        assert isinstance(create_backend("serial"), SerialBackend)
+        backend = create_backend("process", FlowConfig(max_workers=3))
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 3
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpecificationError):
-            make_backend("gpu")
+            create_backend("gpu")
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_every_factory_takes_the_same_keywords(self, name, tmp_path):
+        backend = BACKENDS[name](
+            max_workers=1, queue_dir=str(tmp_path), broker_url=None
+        )
+        try:
+            assert backend.name == name
+        finally:
+            backend.close()
 
 
 class TestFlowConfig:
     def test_default_is_serial(self):
-        assert isinstance(FlowConfig().make_backend(), SerialBackend)
+        config = FlowConfig()
+        assert isinstance(create_backend(config.backend, config), SerialBackend)
 
     def test_process_config(self):
-        backend = FlowConfig(backend="process", max_workers=2).make_backend()
+        config = FlowConfig(backend="process", max_workers=2)
+        backend = create_backend(config.backend, config)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 2
 
@@ -129,10 +141,10 @@ class TestFlowConfig:
         persistent = FlowConfig(cache_dir=str(tmp_path)).make_cache(CMOS025)
         assert isinstance(persistent, PersistentBlockCache)
 
-    def test_has_fourteen_fields(self):
+    def test_has_thirteen_fields(self):
         import dataclasses
 
-        assert len(dataclasses.fields(FlowConfig)) == 14
+        assert len(dataclasses.fields(FlowConfig)) == 13
 
     @pytest.mark.parametrize(
         "field",
@@ -142,6 +154,7 @@ class TestFlowConfig:
             "chunksize",
             "eval_kernel",
             "behavioral_kernel",
+            "broker_wait_timeout",
         ],
     )
     def test_retired_fields_are_rejected(self, field):

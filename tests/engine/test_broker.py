@@ -13,18 +13,20 @@ import pytest
 import repro
 
 from repro.engine.broker import (
+    ACK_SUFFIX,
     DEFAULT_LEASE_TTL,
     DEFAULT_WAIT_TIMEOUT,
+    LEASE_SUFFIX,
     MAX_RETRIES,
     Broker,
     BrokerBackend,
     DirectoryBroker,
     HttpBroker,
     check_key,
+    task_key,
 )
 from repro.engine.persist import digest
 from repro.engine.worker import WorkerLoop, default_worker_id, resolve_task_fn
-from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX, task_key
 from repro.errors import SpecificationError
 from repro.service import wire
 
@@ -536,6 +538,48 @@ class TestBrokerBackend:
         finally:
             holder.join()
 
+    def test_deadline_less_live_pid_lease_expires_one_ttl_after_its_write(
+        self, tmp_path
+    ):
+        # A PR 4 lease (no deadline) whose pid is alive — here, our own —
+        # used to count as a live claim forever: workers never reclaimed it
+        # and map() never reached its no-progress timeout.  It now dies one
+        # TTL after its mtime, and an attached worker executes the task.
+        task = {"n": 31}
+        key = task_key(digest, task)
+        (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(
+            json.dumps({"pid": os.getpid()})
+        )
+        backend = BrokerBackend(
+            queue_dir=tmp_path, lease_ttl=0.3, poll_interval=0.01, wait_timeout=2.0
+        )
+        worker = WorkerLoop(
+            DirectoryBroker(tmp_path, lease_ttl=0.3),
+            worker_id="w1",
+            lease_ttl=0.3,
+            poll_interval=0.01,
+            idle_exit=3.0,
+        )
+        outcome = {}
+
+        def _map():
+            try:
+                outcome["results"] = backend.map(digest, [task])
+            except Exception as exc:  # surfaced by the assertion below
+                outcome["error"] = exc
+
+        threads = [
+            threading.Thread(target=worker.run, daemon=True),
+            threading.Thread(target=_map, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=10.0)
+        assert not threads[1].is_alive(), "map() hung on a deadline-less lease"
+        assert outcome == {"results": [digest(task)]}
+        threads[0].join(timeout=10.0)
+        assert not threads[0].is_alive()
+
     def test_corrupt_ack_is_discarded_and_reexecuted(self, tmp_path):
         broker = DirectoryBroker(tmp_path)
         key = task_key(digest, {"n": 1})
@@ -564,7 +608,7 @@ class TestProtocolConformance:
             with pytest.raises(ValueError):
                 resolve_task_fn(name)
 
-    def test_default_ttl_matches_the_workqueue_timeout(self):
+    def test_default_ttl_is_one_minute(self):
         assert DEFAULT_LEASE_TTL == 60.0
 
 

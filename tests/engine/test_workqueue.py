@@ -1,13 +1,49 @@
-"""The file-backed work-queue backend: leases, acks, replay, determinism."""
+"""The ``queue`` backend: local executor threads over the directory broker.
+
+Leases, acks, replay and determinism — plus interop with ``broker``: one
+store directory, finished by whichever backend name runs next.
+"""
 
 import os
-import pickle
+import threading
 from dataclasses import dataclass
 
 import pytest
 
-from repro.engine.backend import BACKENDS, make_backend
-from repro.engine.workqueue import ACK_SUFFIX, LEASE_SUFFIX, QueueBackend, task_key
+from repro.engine.backend import BACKENDS, create_backend
+from repro.engine.broker import (
+    ACK_SUFFIX,
+    LEASE_SUFFIX,
+    BrokerBackend,
+    DirectoryBroker,
+    task_key,
+)
+from repro.engine.config import FlowConfig
+from repro.engine.persist import digest
+from repro.engine.worker import WorkerLoop
+
+
+def queue(queue_dir=None, max_workers=None):
+    """The ``queue`` backend, built the way the CLI and runner build it."""
+    return create_backend(
+        "queue",
+        FlowConfig(
+            backend="queue",
+            max_workers=max_workers,
+            queue_dir=None if queue_dir is None else str(queue_dir),
+        ),
+    )
+
+
+def queue_with_ttl(queue_dir, lease_ttl):
+    """A one-thread ``queue`` backend with a short lease TTL."""
+    return BrokerBackend(
+        name="queue", queue_dir=queue_dir, max_workers=1, lease_ttl=lease_ttl
+    )
+
+
+def reclaimed(backend) -> int:
+    return backend.broker.counters["reclaimed"]
 
 
 @dataclass(frozen=True)
@@ -35,38 +71,38 @@ def tracked(task: TrackedTask) -> int:
 class TestBackendContract:
     def test_registered_in_backends(self):
         assert "queue" in BACKENDS
-        backend = make_backend("queue", max_workers=2)
+        backend = create_backend("queue")
         try:
             assert backend.name == "queue"
         finally:
             backend.close()
 
     def test_map_preserves_task_order(self, tmp_path):
-        with QueueBackend(max_workers=4, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=4) as backend:
             tasks = [SquareTask(v) for v in (5, 3, 9, 1, 7)]
             assert backend.map(square, tasks) == [25, 9, 81, 1, 49]
 
     def test_matches_serial_backend(self, tmp_path):
-        serial = make_backend("serial")
+        serial = create_backend("serial")
         tasks = [SquareTask(v) for v in range(10)]
         expected = serial.map(square, tasks)
-        with QueueBackend(max_workers=3, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=3) as backend:
             assert backend.map(square, tasks) == expected
 
     def test_empty_map(self, tmp_path):
-        with QueueBackend(queue_dir=tmp_path) as backend:
+        with queue(tmp_path) as backend:
             assert backend.map(square, []) == []
 
     def test_ephemeral_dir_removed_on_close(self):
-        backend = QueueBackend(max_workers=1)
-        queue_dir = backend.queue_dir
+        backend = queue(max_workers=1)
+        queue_dir = backend.broker.root
         backend.map(square, [SquareTask(2)])
         assert queue_dir.exists()
         backend.close()
         assert not queue_dir.exists()
 
     def test_explicit_dir_survives_close(self, tmp_path):
-        backend = QueueBackend(max_workers=1, queue_dir=tmp_path)
+        backend = queue(tmp_path, max_workers=1)
         backend.map(square, [SquareTask(2)])
         backend.close()
         assert tmp_path.exists()
@@ -76,20 +112,20 @@ class TestBackendContract:
         from repro.errors import SpecificationError
 
         with pytest.raises(SpecificationError):
-            QueueBackend(max_workers=0)
+            queue(max_workers=0)
 
 
 class TestAckReplay:
     def test_acked_tasks_replay_instead_of_executing(self, tmp_path):
         CALLS.clear()
         tasks = [TrackedTask(v) for v in (1, 2, 3)]
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
+        with queue(tmp_path, max_workers=1) as first:
             first_results = first.map(tracked, tasks)
             assert first.executed == 3 and first.replayed == 0
         assert sorted(CALLS) == [1, 2, 3]
 
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
+        with queue(tmp_path, max_workers=1) as second:
             second_results = second.map(tracked, tasks)
             assert second.executed == 0 and second.replayed == 3
         assert CALLS == []  # nothing re-executed
@@ -97,10 +133,10 @@ class TestAckReplay:
 
     def test_partial_acks_execute_only_the_tail(self, tmp_path):
         tasks = [TrackedTask(v) for v in (1, 2, 3, 4)]
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
+        with queue(tmp_path, max_workers=1) as first:
             first.map(tracked, tasks[:2])
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
+        with queue(tmp_path, max_workers=1) as second:
             results = second.map(tracked, tasks)
             assert second.replayed == 2 and second.executed == 2
         assert sorted(CALLS) == [3, 4]
@@ -108,26 +144,41 @@ class TestAckReplay:
 
     def test_duplicate_tasks_collapse_to_one_execution(self, tmp_path):
         CALLS.clear()
-        with QueueBackend(max_workers=2, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=2) as backend:
             results = backend.map(
                 tracked, [TrackedTask(5), TrackedTask(5), TrackedTask(5)]
             )
         assert results == [105, 105, 105]
         assert CALLS == [5]
 
+    def test_counters_survive_concurrent_executor_threads(self, tmp_path):
+        # More threads than cores and a tiny switch interval: a lost
+        # counter update from two executor threads would show here.
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with queue(tmp_path, max_workers=8) as backend:
+                tasks = [SquareTask(v) for v in range(64)]
+                assert backend.map(square, tasks) == [v * v for v in range(64)]
+                assert backend.executed == 64 and backend.replayed == 0
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_corrupt_ack_degrades_to_reexecution(self, tmp_path):
         task = TrackedTask(9)
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as first:
+        with queue(tmp_path, max_workers=1) as first:
             first.map(tracked, [task])
         (ack,) = [p for p in tmp_path.iterdir() if p.name.endswith(ACK_SUFFIX)]
         ack.write_bytes(b"not a pickle")
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as second:
+        with queue(tmp_path, max_workers=1) as second:
             assert second.map(tracked, [task]) == [109]
             assert second.executed == 1
         assert CALLS == [9]
         # The entry was rewritten: a third run replays again.
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as third:
+        with queue(tmp_path, max_workers=1) as third:
             assert third.map(tracked, [task]) == [109]
             assert third.replayed == 1
 
@@ -144,9 +195,9 @@ class TestCrashTolerance:
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(str(proc.pid))
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             assert backend.map(tracked, [task]) == [107]
-            assert backend.broken_leases == 1
+            assert reclaimed(backend) == 1
         assert CALLS == [7]
         assert not (tmp_path / f"{key}{LEASE_SUFFIX}").exists()
 
@@ -157,11 +208,9 @@ class TestCrashTolerance:
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_text(str(os.getpid()))
         CALLS.clear()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
+        with queue_with_ttl(tmp_path, lease_ttl=0.3) as backend:
             assert backend.map(tracked, [task]) == [108]
-            assert backend.broken_leases == 0  # sweep left the live lease
+            assert reclaimed(backend) == 1
         assert CALLS == [8]  # stolen and executed after the timeout
 
     def test_corrupt_lease_json_is_swept(self, tmp_path):
@@ -171,9 +220,9 @@ class TestCrashTolerance:
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": 12')
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             assert backend.map(tracked, [task]) == [111]
-            assert backend.broken_leases == 1
+            assert reclaimed(backend) == 1
         assert CALLS == [11]
         assert not (tmp_path / f"{key}{LEASE_SUFFIX}").exists()
 
@@ -182,18 +231,18 @@ class TestCrashTolerance:
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_bytes(b"\x00\xff\xfe{pid")
         CALLS.clear()
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             assert backend.map(tracked, [task]) == [112]
-            assert backend.broken_leases == 1
+            assert reclaimed(backend) == 1
         assert CALLS == [12]
 
     def test_json_lease_with_non_numeric_pid_is_swept(self, tmp_path):
         task = TrackedTask(13)
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": "soon"}')
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             assert backend.map(tracked, [task]) == [113]
-            assert backend.broken_leases == 1
+            assert reclaimed(backend) == 1
 
     def test_recycled_pid_lease_does_not_crash_the_run(self, tmp_path):
         # A stale lease whose recorded pid was recycled by an unrelated
@@ -205,22 +254,17 @@ class TestCrashTolerance:
         key = task_key(tracked, task)
         (tmp_path / f"{key}{LEASE_SUFFIX}").write_text('{"pid": 1}')
         CALLS.clear()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
+        with queue_with_ttl(tmp_path, lease_ttl=0.3) as backend:
             assert backend.map(tracked, [task]) == [114]
-            assert backend.broken_leases == 0  # sweep kept the "live" claim
+            assert reclaimed(backend) == 1
         assert CALLS == [14]  # stolen after the timeout and executed
 
     def test_long_task_heartbeats_keep_its_lease(self, tmp_path):
-        # A task running past lease_timeout is NOT reclaimable: the executor
+        # A task running past its lease TTL is NOT reclaimable: the executor
         # thread heartbeats its own lease, so a concurrent worker or resumed
         # run sweeping the directory sees a live claim the whole time (the
         # PR 4 pid-alive protection, now preserved under TTL'd leases).
-        import threading
         import time
-
-        from repro.engine.broker import DirectoryBroker
 
         def slow(task):
             time.sleep(0.8)
@@ -244,9 +288,7 @@ class TestCrashTolerance:
 
         thief = threading.Thread(target=sweep)
         thief.start()
-        with QueueBackend(
-            max_workers=1, queue_dir=tmp_path, lease_timeout=0.3
-        ) as backend:
+        with queue_with_ttl(tmp_path, lease_ttl=0.3) as backend:
             assert backend.map(slow, [task]) == [121]
             assert backend.executed == 1
         thief.join()
@@ -256,7 +298,7 @@ class TestCrashTolerance:
         def explode(task):
             raise RuntimeError("boom")
 
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             with pytest.raises(RuntimeError):
                 backend.map(explode, [SquareTask(1)])
         assert not any(p.name.endswith(ACK_SUFFIX) for p in tmp_path.iterdir())
@@ -320,9 +362,46 @@ class TestTaskKeys:
         def touch(task):
             return 42
 
-        with QueueBackend(max_workers=1, queue_dir=tmp_path) as backend:
+        with queue(tmp_path, max_workers=1) as backend:
             assert backend.map(touch, [opaque]) == [42]
             # No ack was written: nothing stable to key it by.
             assert not any(
                 p.name.endswith(ACK_SUFFIX) for p in tmp_path.iterdir()
             )
+
+
+class TestBrokerInterop:
+    """One store directory, finished by whichever backend name runs next."""
+
+    TASKS = [{"interop": n} for n in range(4)]
+
+    @staticmethod
+    def _broker_map(tmp_path, tasks):
+        backend = BrokerBackend(queue_dir=tmp_path, poll_interval=0.01)
+        worker = WorkerLoop(
+            DirectoryBroker(tmp_path),
+            worker_id="w1",
+            poll_interval=0.01,
+            idle_exit=1.0,
+        )
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        try:
+            return backend, backend.map(digest, tasks)
+        finally:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+
+    def test_queue_store_is_finished_by_broker_workers(self, tmp_path):
+        with queue(tmp_path, max_workers=1) as first:
+            first.map(digest, self.TASKS[:2])
+        backend, results = self._broker_map(tmp_path, self.TASKS)
+        assert results == [digest(t) for t in self.TASKS]
+        assert backend.replayed == 2 and backend.dispatched == 2
+
+    def test_broker_store_is_finished_by_the_queue(self, tmp_path):
+        self._broker_map(tmp_path, self.TASKS[:2])
+        with queue(tmp_path, max_workers=2) as backend:
+            results = backend.map(digest, self.TASKS)
+            assert backend.replayed == 2 and backend.executed == 2
+        assert results == [digest(t) for t in self.TASKS]
