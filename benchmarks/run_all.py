@@ -12,7 +12,9 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
                                                                # regression
 
 Stages: ``synthesize_mdac`` and ``equation_metric_stage`` (compiled
-kernels vs the oracles), ``template_cache``,
+kernels vs the oracles), ``template_cache``, ``transient_kernel`` (the
+compiled transient program vs the per-element walk on seeded 13-bit
+settling benches: ms per call, speedup, bit-identity),
 ``behavioral``, ``service``, ``fabric`` — the distributed execution
 fabric measured against a live HTTP broker and real ``repro-adc worker``
 subprocesses: per-task lease overhead (submit/lease/heartbeat/ack round
@@ -27,10 +29,11 @@ counter micro-rate (see ``benchmarks/bench_obs.py``).
 
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the legacy-evaluator oracle on the same workload,
-when any variant's synthesis result diverges (the bit-identity contract), when a
-warm template store still compiles, when the behavioral batch kernel is
-not bit-identical to the scalar walk or misses its 5x floor at 256
-draws, when the service stage breaks its coalescing contract (N
+when any variant's synthesis result diverges (the bit-identity contract),
+when a warm template store still compiles, when the compiled transient
+diverges from the walk or runs under 1.5x its speed, when the behavioral
+batch kernel is not bit-identical to the scalar walk or misses its 5x
+floor at 256 draws, when the service stage breaks its coalescing contract (N
 identical concurrent submissions must perform exactly one cold
 synthesis), or when the ``fabric`` stage misses its 1.5x two-worker
 throughput floor, diverges from the local serial run, or fails to
@@ -64,6 +67,7 @@ from repro.analysis.template import (
     _TEMPLATE_CACHE,
     reset_template_stats,
 )
+from repro.analysis.transient import simulate_transient
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
 from repro.behavioral.verify import draw_error_models
@@ -80,7 +84,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.oracles import (  # noqa: E402
     LegacyEvaluator,
     ac_response_loop,
+    settling_benches,
     simulate_draws_scalar,
+    simulate_transient_walk,
 )
 
 
@@ -227,6 +233,39 @@ def stage_template_cache() -> dict:
     }
 
 
+def stage_transient_kernel(benches: int) -> dict:
+    """Compiled transient program vs the per-element walk, per call.
+
+    Seeded 13-bit 4-3-2 MDAC settling benches, the evaluator's transient
+    check exactly; each side runs every bench once untimed first (module
+    and template caches), then once timed.  ``identical_results`` demands
+    bit-equal ``out`` waveforms.
+    """
+    cases = settling_benches(benches, seed=11)
+
+    def run(simulate):
+        for bench, t_stop, dt in cases:
+            simulate(bench, t_stop=t_stop, dt=dt, record=["out"])
+        waves, walls = [], []
+        for bench, t_stop, dt in cases:
+            start = time.perf_counter()
+            result = simulate(bench, t_stop=t_stop, dt=dt, record=["out"])
+            walls.append(time.perf_counter() - start)
+            waves.append(result.voltage("out"))
+        return waves, sum(walls) / len(walls)
+
+    walk, walk_s = run(simulate_transient_walk)
+    compiled, compiled_s = run(simulate_transient)
+    identical = all(a.tobytes() == b.tobytes() for a, b in zip(walk, compiled))
+    return {
+        "workload": f"{benches} seeded 13-bit 4-3-2 MDAC settling benches",
+        "walk_ms_per_call": round(1e3 * walk_s, 1),
+        "compiled_ms_per_call": round(1e3 * compiled_s, 1),
+        "speedup": round(walk_s / compiled_s, 2),
+        "identical_results": identical,
+    }
+
+
 def stage_behavioral(draws: int, samples: int) -> dict:
     """Vectorized Monte-Carlo pipeline simulation vs the scalar walk.
 
@@ -297,6 +336,7 @@ def main(argv=None) -> int:
     # capture length, never the draw count the 5x floor is defined at.
     behavioral_draws = 256
     behavioral_samples = 512 if args.smoke else 2048
+    transient_benches = 3 if args.smoke else 8
 
     # Each stage runs in its own guard: a raising benchmark must not
     # silently truncate the JSON.  The error is recorded in the stage's
@@ -321,6 +361,7 @@ def main(argv=None) -> int:
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
         "template_cache": stage_template_cache,
+        "transient_kernel": lambda: stage_transient_kernel(transient_benches),
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
         ),
@@ -365,6 +406,7 @@ def main(argv=None) -> int:
     synth = report["stages"]["synthesize_mdac"]
     eqn = report["stages"]["equation_metric_stage"]
     template = report["stages"]["template_cache"]
+    transient = report["stages"]["transient_kernel"]
     behavioral = report["stages"]["behavioral"]
     service = report["stages"]["service"]
     fabric = report["stages"]["fabric"]
@@ -373,6 +415,8 @@ def main(argv=None) -> int:
         f"\nfull-candidate speedup: {synth['speedup_full_candidate']}x, "
         f"equation-metric stage: {eqn['speedup']}x, "
         f"warm template compiles: {template['warm_compiled']}, "
+        f"transient kernel: {transient['speedup']}x "
+        f"({transient['compiled_ms_per_call']} ms/call), "
         f"behavioral batch: {behavioral['speedup']}x, "
         f"service: {service['coalescing']['submissions']} identical submissions "
         f"-> {service['coalescing']['cold_synthesis_runs']} cold synthesis, "
@@ -403,6 +447,13 @@ def main(argv=None) -> int:
             )
         if not template["identical_results"]:
             failures.append("store-loaded templates diverged from compiled ones")
+        if not transient["identical_results"]:
+            failures.append("compiled transient diverged from the walk")
+        if transient["speedup"] < 1.5:
+            failures.append(
+                "regression: compiled transient under its 1.5x floor "
+                f"({transient['speedup']}x)"
+            )
         if not behavioral["identical_results"]:
             failures.append(
                 "behavioral batch kernel diverged from the scalar walk"

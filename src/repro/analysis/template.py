@@ -20,6 +20,10 @@ This module compiles a circuit *topology* once into flat stamp programs:
   Newton system / small-signal matrices with a handful of vectorized
   gathers and two ``np.add.at`` scatters.
 
+:class:`TransientProgram` records the transient Newton step the same way,
+once per :func:`repro.analysis.transient.simulate_transient` call, with
+value slots refreshed per call, per timestep or per Newton iteration.
+
 Value slots are pure data — ``(opcode, element name, negate)`` triples
 evaluated by :func:`_slot_value` — so a compiled template is picklable.
 :class:`TemplateStore` persists templates content-keyed by topology key,
@@ -106,6 +110,31 @@ _OP_GAIN = 5  # VCVS gain
 _OP_GM = 6  # VCCS transconductance
 _OP_DC = 7  # independent-source DC value
 _OP_ZERO = 8  # 0.0 (inductor DC short constraint)
+
+
+def newton_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` minus its per-call wrapper overhead.
+
+    The Newton loops solve thousands of small dense systems; numpy's
+    public wrapper spends more time validating/coercing than LAPACK
+    spends solving.  This calls the same underlying gufunc directly and
+    falls back to ``np.linalg.solve`` whenever the fast result is not
+    finite — which covers exact singularity (LAPACK info > 0 fills the
+    result with NaNs instead of raising) by re-raising through the
+    public path, and near-singular overflow by returning the public
+    path's bit-identical inf/NaN result.  Either way the caller sees
+    exactly what ``np.linalg.solve`` would have produced.
+    """
+    if _GUFUNC_SOLVE1 is None:
+        return np.linalg.solve(jac, rhs)
+    try:
+        with np.errstate(all="ignore"):
+            dx = _GUFUNC_SOLVE1(jac, rhs)
+    except np.linalg.LinAlgError:
+        dx = None
+    if dx is None or not np.isfinite(dx).all():
+        return np.linalg.solve(jac, rhs)
+    return dx
 
 
 def _slot_value(circuit: Circuit, op: int, name: str | None) -> float:
@@ -778,28 +807,8 @@ class BoundMna:
         return jac, resid
 
     def newton_solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``np.linalg.solve`` minus its per-call wrapper overhead.
-
-        The Newton loop solves thousands of small dense systems; numpy's
-        public wrapper spends more time validating/coercing than LAPACK
-        spends solving.  This calls the same underlying gufunc directly and
-        falls back to ``np.linalg.solve`` whenever the fast result is not
-        finite — which covers exact singularity (LAPACK info > 0 fills the
-        result with NaNs instead of raising) by re-raising through the
-        public path, and near-singular overflow by returning the public
-        path's bit-identical inf/NaN result.  Either way the caller sees
-        exactly what ``np.linalg.solve`` would have produced.
-        """
-        if _GUFUNC_SOLVE1 is None:
-            return np.linalg.solve(jac, rhs)
-        try:
-            with np.errstate(all="ignore"):
-                dx = _GUFUNC_SOLVE1(jac, rhs)
-        except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.isfinite(dx).all():
-            return np.linalg.solve(jac, rhs)
-        return dx
+        """:func:`newton_solve` (the DC Newton loop calls it as a method)."""
+        return newton_solve(jac, rhs)
 
     # -- small-signal ------------------------------------------------------
 
@@ -842,6 +851,381 @@ class BoundMna:
             op=op,
             noise_sources=[],
         )
+
+
+# ---------------------------------------------------------------------------
+# Transient Newton program.
+# ---------------------------------------------------------------------------
+
+#: Per-device MOSFET value block of a :class:`TransientProgram`: every
+#: signed quantity the per-element walk stamps, so the scatters only gather.
+_MOS_IDS, _MOS_NIDS, _MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM = range(6)
+_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM = range(6, 10)
+_MOS_BLOCK = 10
+
+
+class TransientProgram:
+    """The transient Newton step of one circuit, compiled for one call.
+
+    Records the per-element transient walk once — every Jacobian ``+=``
+    as a COO entry and every residual ``+=`` as a row entry, in emission
+    order, followed by the capacitor companions of the explicit
+    capacitors and the nonzero t=0 device capacitances.  Each entry
+    reads its value from one flat slot buffer, refreshed at three rates:
+
+    * **constant** — resistor conductances, unit branch stamps, VCVS/VCCS
+      gains, inductor ``r_eq`` and companion conductances ``2c/dt`` or
+      ``c/dt``;
+    * **per timestep** (:meth:`begin_step`) — switch conductances,
+      waveform source values, companion history currents ``i_eq`` and
+      inductor history terms;
+    * **per Newton iteration** (:meth:`assemble`) — MOSFET
+      ``ids/gm/gds/gmb`` from one scalar :func:`dc_current` call per
+      device.
+
+    A residual entry adds ``coef*(xe[a] - xe[b]) + offset`` to its row,
+    where ``xe`` is the unknown vector extended by a ground slot of 0.0.
+    Negated stamps read a slot holding the negated value, which is exact,
+    so ``-= v`` and ``+= -v`` agree bit for bit.  ``np.bincount`` adds its
+    weights in input order, so every matrix and residual cell sums the
+    same values in the same order as the walk, and the waveforms equal
+    ``tests/oracles/transient.py`` bit for bit.
+
+    The capacitor list depends on which t=0 device capacitances are
+    positive, so the structure is not a function of the topology key
+    alone; a build costs well under a millisecond, and the program is
+    built per call rather than cached.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        layout: MnaLayout,
+        device_ops: dict,
+        dt: float,
+        method: str,
+    ):
+        n = layout.size
+        self.size = n
+        self.n_nodes = len(layout.nets)
+        self.method = method
+        gnd = n  # ground's slot in the extended vector
+
+        def xi(idx: int) -> int:
+            return gnd if idx == GROUND else idx
+
+        mosfets = [e for e in circuit if isinstance(e, Mosfet)]
+        dev_of = {e.name: dev for dev, e in enumerate(mosfets)}
+        values: list[float] = [0.0] * (_MOS_BLOCK * len(mosfets))
+
+        def slot(value: float = 0.0) -> int:
+            values.append(value)
+            return len(values) - 1
+
+        zero, one, neg_one = slot(0.0), slot(1.0), slot(-1.0)
+        j_rows: list[int] = []
+        j_cols: list[int] = []
+        j_src: list[int] = []
+        r_rows: list[int] = []
+        r_coef: list[int] = []
+        r_a: list[int] = []
+        r_b: list[int] = []
+        r_off: list[int] = []
+
+        def jac(row: int, col: int, src: int) -> None:
+            j_rows.append(row)
+            j_cols.append(col)
+            j_src.append(src)
+
+        def res(row: int, coef: int, a: int, b: int, off: int) -> None:
+            r_rows.append(row)
+            r_coef.append(coef)
+            r_a.append(xi(a))
+            r_b.append(xi(b))
+            r_off.append(off)
+
+        def conductance(i: int, j: int, pos: int, neg: int) -> None:
+            """Replay :func:`repro.analysis.mna.stamp_conductance`."""
+            if i != GROUND:
+                jac(i, i, pos)
+            if j != GROUND:
+                jac(j, j, pos)
+            if i != GROUND and j != GROUND:
+                jac(i, j, neg)
+                jac(j, i, neg)
+
+        def pair_current(
+            i: int, j: int, a: int, b: int, pos: int, neg: int,
+            off_pos: int = zero, off_neg: int = zero,
+        ) -> None:
+            """cur = g*(x[a]-x[b]) + off; resid[i] += cur; resid[j] -= cur."""
+            if i != GROUND:
+                res(i, pos, a, b, off_pos)
+            if j != GROUND:
+                res(j, neg, a, b, off_neg)
+
+        def branch(p: int, nn: int, k: int) -> None:
+            """Unit cross terms and branch-current residuals of a branch."""
+            if p != GROUND:
+                jac(p, k, one)
+                jac(k, p, one)
+                res(p, one, k, GROUND, zero)
+            if nn != GROUND:
+                jac(nn, k, neg_one)
+                jac(k, nn, neg_one)
+                res(nn, neg_one, k, GROUND, zero)
+
+        def signed(value: float) -> tuple[int, int]:
+            return slot(value), slot(-value)
+
+        #: Per-step refreshes, in walk order: switches (g, -g slots),
+        #: waveform sources (value slot or None, -value slot) and
+        #: inductors (xe indices p, n, branch k, r_eq, history slot).
+        self._switches: list[tuple[Switch, int, int]] = []
+        self._sources: list[tuple[object, int | None, int]] = []
+        self._inductors: list[tuple[int, int, int, float, int]] = []
+        index = layout.index
+        for element in circuit:
+            if isinstance(element, (Resistor, Switch)):
+                i, j = index(element.n1), index(element.n2)
+                if isinstance(element, Resistor):
+                    pos, neg = signed(1.0 / element.resistance)
+                else:
+                    pos, neg = slot(), slot()
+                    self._switches.append((element, pos, neg))
+                conductance(i, j, pos, neg)
+                pair_current(i, j, i, j, pos, neg)
+            elif isinstance(element, Capacitor):
+                continue  # companion models follow the walk
+            elif isinstance(element, CurrentSource):
+                p, nn = index(element.positive), index(element.negative)
+                if element.waveform is None:
+                    pos, neg = signed(element.dc)
+                else:
+                    pos, neg = slot(), slot()
+                    self._sources.append((element, pos, neg))
+                if p != GROUND:
+                    res(p, zero, GROUND, GROUND, pos)
+                if nn != GROUND:
+                    res(nn, zero, GROUND, GROUND, neg)
+            elif isinstance(element, VoltageSource):
+                p, nn = index(element.positive), index(element.negative)
+                k = layout.branch(element.name)
+                branch(p, nn, k)
+                # resid[k] += (v_p - v_n) - value, read as 1*(v_p-v_n) + -value.
+                if element.waveform is None:
+                    neg = slot(-element.dc)
+                else:
+                    neg = slot()
+                    self._sources.append((element, None, neg))
+                res(k, one, p, nn, neg)
+            elif isinstance(element, Vcvs):
+                op_ = index(element.out_positive)
+                on_ = index(element.out_negative)
+                cp = index(element.ctrl_positive)
+                cn = index(element.ctrl_negative)
+                k = layout.branch(element.name)
+                gain, neg_gain = signed(element.gain)
+                if op_ != GROUND:
+                    jac(op_, k, one)
+                    jac(k, op_, one)
+                if on_ != GROUND:
+                    jac(on_, k, neg_one)
+                    jac(k, on_, neg_one)
+                if cp != GROUND:
+                    jac(k, cp, neg_gain)
+                if cn != GROUND:
+                    jac(k, cn, gain)
+                if op_ != GROUND:
+                    res(op_, one, k, GROUND, zero)
+                if on_ != GROUND:
+                    res(on_, neg_one, k, GROUND, zero)
+                # Branch row k holds nothing else, so the walk's single
+                # (v_op - v_on) - gain*(v_cp - v_cn) splits exactly in two.
+                res(k, one, op_, on_, zero)
+                res(k, neg_gain, cp, cn, zero)
+            elif isinstance(element, Vccs):
+                op_ = index(element.out_positive)
+                on_ = index(element.out_negative)
+                cp = index(element.ctrl_positive)
+                cn = index(element.ctrl_negative)
+                gm, neg_gm = signed(element.gm)
+                for row, pos, neg in ((op_, gm, neg_gm), (on_, neg_gm, gm)):
+                    if row == GROUND:
+                        continue
+                    if cp != GROUND:
+                        jac(row, cp, pos)
+                    if cn != GROUND:
+                        jac(row, cn, neg)
+                pair_current(op_, on_, cp, cn, gm, neg_gm)
+            elif isinstance(element, Inductor):
+                p, nn = index(element.n1), index(element.n2)
+                k = layout.branch(element.name)
+                if method == "trap":
+                    r_eq = 2.0 * element.inductance / dt
+                else:
+                    r_eq = element.inductance / dt
+                branch(p, nn, k)
+                neg_r_eq = slot(-r_eq)
+                jac(k, k, neg_r_eq)
+                # resid[k] += (v_p - v_n) - r_eq*i + rhs, term by term.
+                rhs = slot()
+                res(k, one, p, nn, zero)
+                res(k, neg_r_eq, k, GROUND, zero)
+                res(k, zero, GROUND, GROUND, rhs)
+                self._inductors.append((xi(p), xi(nn), k, r_eq, rhs))
+            elif isinstance(element, Mosfet):
+                base = _MOS_BLOCK * dev_of[element.name]
+                d, g_ = index(element.drain), index(element.gate)
+                s, b = index(element.source), index(element.bulk)
+                if d != GROUND:
+                    res(d, zero, GROUND, GROUND, base + _MOS_IDS)
+                if s != GROUND:
+                    res(s, zero, GROUND, GROUND, base + _MOS_NIDS)
+                for row, kinds in (
+                    (d, (_MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM)),
+                    (s, (_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM)),
+                ):
+                    if row == GROUND:
+                        continue
+                    for col, kind in zip((g_, d, b, s), kinds):
+                        if col != GROUND:
+                            jac(row, col, base + kind)
+            else:
+                raise AnalysisError(
+                    f"element type {type(element).__name__} not supported in transient"
+                )
+
+        # Capacitor companions: explicit caps + device caps at the t=0 OP.
+        caps: list[tuple[int, int, float]] = []
+        for element in circuit:
+            if isinstance(element, Capacitor):
+                caps.append((index(element.n1), index(element.n2), element.capacitance))
+            elif isinstance(element, Mosfet):
+                op = device_ops[element.name]
+                d, g_ = index(element.drain), index(element.gate)
+                s, b = index(element.source), index(element.bulk)
+                for i, j, c in (
+                    (g_, s, op.cgs),
+                    (g_, d, op.cgd),
+                    (g_, b, op.cgb),
+                    (d, b, op.cdb),
+                    (s, b, op.csb),
+                ):
+                    if c > 0.0:
+                        caps.append((i, j, c))
+        cap_g = [2.0 * c / dt if method == "trap" else c / dt for _, _, c in caps]
+        cap_ieq: list[int] = []
+        cap_neg_ieq: list[int] = []
+        for (i, j, _), g_eq in zip(caps, cap_g):
+            pos, neg = signed(g_eq)
+            ieq, neg_ieq = slot(), slot()
+            cap_ieq.append(ieq)
+            cap_neg_ieq.append(neg_ieq)
+            conductance(i, j, pos, neg)
+            pair_current(i, j, i, j, pos, neg, ieq, neg_ieq)
+
+        intp = np.intp
+        self._mos_args = [
+            (e.params, e.w, e.l, e.mult)
+            + tuple(xi(index(net)) for net in (e.drain, e.gate, e.source, e.bulk))
+            for e in mosfets
+        ]
+        self._n_mos_slots = _MOS_BLOCK * len(mosfets)
+        self._values = np.array(values, dtype=float)
+        self._j_flat = np.asarray(j_rows, dtype=intp) * n + np.asarray(j_cols, dtype=intp)
+        self._j_src = np.asarray(j_src, dtype=intp)
+        self._r_rows = np.asarray(r_rows, dtype=intp)
+        self._r_coef_src = np.asarray(r_coef, dtype=intp)
+        self._r_a = np.asarray(r_a, dtype=intp)
+        self._r_b = np.asarray(r_b, dtype=intp)
+        self._r_off = np.asarray(r_off, dtype=intp)
+        self._r_coef = self._values[self._r_coef_src]
+        self._cap_a = np.asarray([xi(i) for i, _, _ in caps], dtype=intp)
+        self._cap_b = np.asarray([xi(j) for _, j, _ in caps], dtype=intp)
+        self._cap_g = np.asarray(cap_g, dtype=float)
+        self._cap_neg_g = -self._cap_g
+        self._cap_ieq = np.asarray(cap_ieq, dtype=intp)
+        self._cap_neg_ieq = np.asarray(cap_neg_ieq, dtype=intp)
+        #: Companion history: current through each cap at the last step.
+        self._cap_current = np.zeros(len(caps))
+        self._dv_old = np.zeros(len(caps))
+        #: Previous-step voltage across each inductor (trapezoidal history).
+        self._ind_prev_v = [0.0] * len(self._inductors)
+        self._xe = np.zeros(n + 1)
+        #: Newton systems assembled so far (the per-call iteration count).
+        self.assemblies = 0
+
+    def begin_step(self, t: float, x_prev: np.ndarray) -> None:
+        """Refresh the per-timestep slots for the step ending at ``t``."""
+        values = self._values
+        for element, pos, neg in self._switches:
+            g = 1.0 / element.resistance_at(t)
+            values[pos] = g
+            values[neg] = -g
+        if self._switches:
+            self._r_coef = values[self._r_coef_src]
+        for element, pos, neg in self._sources:
+            value = element.value_at(t)
+            if pos is not None:
+                values[pos] = value
+            values[neg] = -value
+        for k_ind, (_, _, k, r_eq, rhs) in enumerate(self._inductors):
+            i_prev = x_prev[k]
+            if self.method == "trap":
+                values[rhs] = r_eq * i_prev + self._ind_prev_v[k_ind]
+            else:
+                values[rhs] = r_eq * i_prev
+        xe = self._xe
+        xe[: self.size] = x_prev
+        dv_old = xe[self._cap_a] - xe[self._cap_b]
+        i_eq = self._cap_neg_g * dv_old
+        if self.method == "trap":
+            i_eq = i_eq - self._cap_current
+        values[self._cap_ieq] = i_eq
+        values[self._cap_neg_ieq] = -i_eq
+        self._dv_old = dv_old
+
+    def end_step(self, x: np.ndarray) -> None:
+        """Advance the companion histories to the accepted solution ``x``."""
+        xe = self._xe
+        xe[: self.size] = x
+        dv_new = xe[self._cap_a] - xe[self._cap_b]
+        current = self._cap_g * (dv_new - self._dv_old)
+        if self.method == "trap":
+            current = current - self._cap_current
+        self._cap_current = current
+        for k_ind, (p, nn, _, _, _) in enumerate(self._inductors):
+            self._ind_prev_v[k_ind] = float(xe[p]) - float(xe[nn])
+
+    def assemble(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Newton system at ``x``: (jacobian, residual)."""
+        self.assemblies += 1
+        n = self.size
+        xe = self._xe
+        xe[:n] = x
+        values = self._values
+        if self._mos_args:
+            xl = xe.tolist()
+            block: list[float] = []
+            for params, w, l, mult, d, g_, s, b in self._mos_args:
+                xs = xl[s]
+                ids, gm, gds, gmb = dc_current(
+                    params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
+                )
+                ids *= mult
+                gm *= mult
+                gds *= mult
+                gmb *= mult
+                gsum = gm + gds + gmb
+                block += (ids, -ids, gm, gds, gmb, -gsum, -gm, -gds, -gmb, gsum)
+            values[: self._n_mos_slots] = block
+        jac = np.bincount(
+            self._j_flat, values[self._j_src], minlength=n * n
+        ).reshape(n, n)
+        currents = self._r_coef * (xe[self._r_a] - xe[self._r_b]) + values[self._r_off]
+        resid = np.bincount(self._r_rows, currents, minlength=n)
+        return jac, resid
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +1353,9 @@ __all__ = [
     "MnaTemplate",
     "TemplateStore",
     "TEMPLATE_STATS",
+    "TransientProgram",
     "bind_template",
+    "newton_solve",
     "reset_template_stats",
     "template_for",
 ]

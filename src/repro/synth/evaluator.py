@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit
@@ -351,9 +352,10 @@ class HybridEvaluator:
         ph = phase[crossing] * (1 - t) + phase[crossing + 1] * t
         return fx, 180.0 + ph
 
-    def _transient_settling(self, sizing: TwoStageSizing) -> float | None:
-        """Nonlinear closed-loop settling error (the simulation half)."""
-        self.transient_evals += 1
+    def _settling_bench(
+        self, sizing: TwoStageSizing
+    ) -> tuple[Circuit, float, float, float]:
+        """Closed-loop step bench of ``sizing``: (bench, ideal, t_stop, dt)."""
         amp = build_two_stage_miller(self.tech, sizing)
         # Per-side worst step of the differential implementation: each side
         # carries half the differential residue range.
@@ -367,11 +369,18 @@ class HybridEvaluator:
             common_mode=self.common_mode,
         )
         t_settle = self.mdac.linear_settling_time + self.mdac.slew_time
-        t_stop = 1.0e-9 + t_settle
-        dt = t_settle / self.transient_points
+        return bench, ideal, 1.0e-9 + t_settle, t_settle / self.transient_points
+
+    def _transient_settling(self, sizing: TwoStageSizing) -> float | None:
+        """Nonlinear closed-loop settling error (the simulation half)."""
+        self.transient_evals += 1
+        bench, ideal, t_stop, dt = self._settling_bench(sizing)
         try:
             result = simulate_transient(bench, t_stop=t_stop, dt=dt, record=["out"])
         except (ConvergenceError, AnalysisError):
+            # Scored as fully unsettled, and counted so the report can
+            # tell a failed simulation from a slow amplifier.
+            obs.counter("synth.transient_failures")
             return 1.0
         v = result.voltage("out")
         start = float(v[np.searchsorted(result.time, 1.0e-9) - 1])

@@ -1,8 +1,8 @@
 """Reference walks the production kernels must match bit for bit.
 
-``src/`` ships one equation path, one behavioral path and one AC path.
-The slower walks they replaced live here, only for tests and benchmarks
-to compare against:
+``src/`` ships one equation path, one behavioral path, one AC path and one
+transient path.  The slower walks they replaced live here, only for tests
+and benchmarks to compare against:
 
 * :class:`~tests.oracles.evaluator.LegacyEvaluator` — the per-element DC
   stamp walk, :func:`~repro.analysis.smallsignal.linearize` and two
@@ -11,15 +11,26 @@ to compare against:
   per-sample pipeline walk behind
   :func:`~repro.behavioral.batch.simulate_draws`;
 * :func:`~tests.oracles.ac.ac_response_loop` — the per-frequency AC loop
-  behind :func:`~repro.analysis.ac.ac_response`.
+  behind :func:`~repro.analysis.ac.ac_response`;
+* :func:`~tests.oracles.transient.simulate_transient_walk` — the
+  per-element transient Newton walk behind
+  :func:`~repro.analysis.transient.simulate_transient`.
 
 A test runs the flow on an oracle by monkeypatching the module attribute
-the flow looks it up through, e.g. ``repro.synth.synthesis.HybridEvaluator``
-or ``repro.behavioral.verify.simulate_draws``.
+the flow looks it up through, e.g. ``repro.synth.synthesis.HybridEvaluator``,
+``repro.behavioral.verify.simulate_draws`` or
+``repro.synth.evaluator.simulate_transient``.
 """
 
 from tests.oracles.ac import ac_response_loop
 from tests.oracles.behavioral import simulate_draws_scalar
 from tests.oracles.evaluator import LegacyEvaluator
+from tests.oracles.transient import settling_benches, simulate_transient_walk
 
-__all__ = ["LegacyEvaluator", "ac_response_loop", "simulate_draws_scalar"]
+__all__ = [
+    "LegacyEvaluator",
+    "ac_response_loop",
+    "settling_benches",
+    "simulate_draws_scalar",
+    "simulate_transient_walk",
+]
