@@ -12,7 +12,7 @@ rate, sustained jobs/s — see ``benchmarks/bench_service.py``).
                                                                # regression
 
 Stages: ``synthesize_mdac`` and ``equation_metric_stage`` (compiled
-kernels vs the oracles), ``template_cache``, ``transient_kernel`` (the
+kernels vs the oracles), ``transient_kernel`` (the
 compiled transient program vs the per-element walk on seeded 13-bit
 settling benches: ms per call, speedup, bit-identity),
 ``behavioral``, ``service``, ``fabric`` — the distributed execution
@@ -30,7 +30,7 @@ counter micro-rate (see ``benchmarks/bench_obs.py``).
 ``--check`` is the CI regression guard: it fails the run when the compiled
 kernel is slower than the legacy-evaluator oracle on the same workload,
 when any variant's synthesis result diverges (the bit-identity contract),
-when a warm template store still compiles, when the compiled transient
+when the compiled transient
 diverges from the walk or runs under 1.5x its speed, when the behavioral
 batch kernel is not bit-identical to the scalar walk or misses its 5x
 floor at 256 draws, when the service stage breaks its coalescing contract (N
@@ -52,7 +52,6 @@ import argparse
 import json
 import platform
 import sys
-import tempfile
 import time
 import traceback
 from pathlib import Path
@@ -62,11 +61,6 @@ import numpy as np
 
 from repro.analysis.ac import ac_system_stack, solve_ac_stack
 from repro.analysis.mna import layout_cache_disabled
-from repro.analysis.template import (
-    TEMPLATE_STATS,
-    _TEMPLATE_CACHE,
-    reset_template_stats,
-)
 from repro.analysis.transient import simulate_transient
 from repro.behavioral.batch import simulate_draws
 from repro.behavioral.signals import full_scale_sine, pick_coherent_cycles
@@ -175,60 +169,6 @@ def stage_equation_metrics(repeats: int) -> dict:
         "legacy_sweeps_per_s": round(legacy_rate, 1),
         "batched_sweeps_per_s": round(batched_rate, 1),
         "speedup": round(batched_rate / legacy_rate, 2),
-        "identical_results": identical,
-    }
-
-
-def _results_match(a, b) -> bool:
-    return (
-        a.cost() == b.cost()
-        and a.violations == b.violations
-        and a.power == b.power
-    )
-
-
-def stage_template_cache() -> dict:
-    """Persisted stamp programs: a warm worker must not compile at all.
-
-    Simulates a pool/queue worker restart: compile into an on-disk
-    :class:`~repro.analysis.template.TemplateStore`, wipe the in-process
-    cache (a fresh interpreter has an empty one), and re-evaluate.  The
-    warm pass must report zero compiles — templates load from the store.
-    """
-    mdac = _block_spec()
-    space = two_stage_space(mdac, CMOS025)
-    rng = np.random.default_rng(13)
-    sizings = [space.decode(rng.random(space.dimension)) for _ in range(4)]
-
-    def evaluate(store_dir):
-        evaluator = HybridEvaluator(
-            mdac, CMOS025, template_store=store_dir
-        )
-        return [evaluator.evaluate(s) for s in sizings]
-
-    with tempfile.TemporaryDirectory() as store_dir:
-        _TEMPLATE_CACHE.clear()
-        reset_template_stats()
-        start = time.perf_counter()
-        cold = evaluate(store_dir)
-        cold_wall = time.perf_counter() - start
-        cold_stats = dict(TEMPLATE_STATS)
-
-        _TEMPLATE_CACHE.clear()  # a freshly forked worker starts empty
-        reset_template_stats()
-        start = time.perf_counter()
-        warm = evaluate(store_dir)
-        warm_wall = time.perf_counter() - start
-        warm_stats = dict(TEMPLATE_STATS)
-
-    identical = all(_results_match(a, b) for a, b in zip(cold, warm))
-    return {
-        "workload": f"{len(sizings)} evaluations, cold store vs warm rerun",
-        "cold_compiled": cold_stats["compiled"],
-        "warm_compiled": warm_stats["compiled"],
-        "warm_store_hits": warm_stats["store_hits"],
-        "wall_cold_s": round(cold_wall, 3),
-        "wall_warm_s": round(warm_wall, 3),
         "identical_results": identical,
     }
 
@@ -360,7 +300,6 @@ def main(argv=None) -> int:
     stage_fns = {
         "synthesize_mdac": lambda: stage_synthesize(budget),
         "equation_metric_stage": lambda: stage_equation_metrics(repeats),
-        "template_cache": stage_template_cache,
         "transient_kernel": lambda: stage_transient_kernel(transient_benches),
         "behavioral": lambda: stage_behavioral(
             behavioral_draws, behavioral_samples
@@ -405,7 +344,6 @@ def main(argv=None) -> int:
 
     synth = report["stages"]["synthesize_mdac"]
     eqn = report["stages"]["equation_metric_stage"]
-    template = report["stages"]["template_cache"]
     transient = report["stages"]["transient_kernel"]
     behavioral = report["stages"]["behavioral"]
     service = report["stages"]["service"]
@@ -414,7 +352,6 @@ def main(argv=None) -> int:
     print(
         f"\nfull-candidate speedup: {synth['speedup_full_candidate']}x, "
         f"equation-metric stage: {eqn['speedup']}x, "
-        f"warm template compiles: {template['warm_compiled']}, "
         f"transient kernel: {transient['speedup']}x "
         f"({transient['compiled_ms_per_call']} ms/call), "
         f"behavioral batch: {behavioral['speedup']}x, "
@@ -440,13 +377,6 @@ def main(argv=None) -> int:
                 "regression: compiled kernel slower than the oracle on the "
                 f"smoke workload ({synth['speedup_full_candidate']}x)"
             )
-        if template["warm_compiled"] != 0:
-            failures.append(
-                "template store miss: a warm worker still compiled "
-                f"{template['warm_compiled']} stamp program(s)"
-            )
-        if not template["identical_results"]:
-            failures.append("store-loaded templates diverged from compiled ones")
         if not transient["identical_results"]:
             failures.append("compiled transient diverged from the walk")
         if transient["speedup"] < 1.5:

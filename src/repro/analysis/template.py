@@ -1,61 +1,45 @@
-"""Compiled MNA evaluation kernels: parametric stamp templates.
+"""Compiled MNA evaluation kernels: stamp walks recorded once as programs.
 
-The legacy DC path (:func:`repro.analysis.dc._assemble`) and small-signal
-linearization (:func:`repro.analysis.smallsignal.linearize`) walk the
-netlist element-by-element, dispatching on ``isinstance`` and issuing one
-scalar ``+=`` per matrix stamp.  That walk runs inside *every Newton
-iteration* of every DC solve — for a sizing loop that evaluates hundreds of
-candidates on the same testbench topology, it is almost pure interpreter
-overhead.
+The simulator's Newton solves (the DC operating point and every transient
+timestep) and its small-signal linearization would otherwise walk the
+netlist element by element inside every iteration, dispatching on
+``isinstance`` and issuing one scalar ``+=`` per matrix stamp.  This module
+records each walk once as a flat program:
 
-This module compiles a circuit *topology* once into flat stamp programs:
-
+* :class:`NewtonProgram` is the one Newton-stamp walk.  Every Jacobian
+  ``+=`` becomes a COO entry ``(row, col, slot)`` and every residual ``+=``
+  an entry ``coef*(xe[a] - xe[b]) + offset`` whose coefficient and offset
+  are slots of one flat value buffer; ``xe`` is the unknown vector extended
+  by a ground slot of 0.0.  Two order-preserving ``np.bincount`` scatters
+  rebuild the system.  :class:`DcProgram` records the walk with capacitors
+  open, inductors shorted, switches at ``resistance_at(0.0)``, source
+  offsets scaled by the homotopy's ``source_scale`` and gmin entries
+  appended last.  :class:`TransientProgram` records it with per-timestep
+  slots and the capacitor companions appended.
 * :class:`MnaTemplate` (cached per :meth:`repro.circuit.netlist.Circuit.topology_key`)
-  records every scalar stamp the legacy walk would emit — row/column index
-  arrays in exact emission order, plus value *slots* classified by origin
-  (element constants, MOSFET small-signal quantities, source injections);
-* :meth:`MnaTemplate.bind` fills the constant slots from a concrete
-  circuit's element values, producing a :class:`BoundMna` whose
-  :meth:`~BoundMna.assemble` and :meth:`~BoundMna.linearize` rebuild the
-  Newton system / small-signal matrices with a handful of vectorized
-  gathers and two ``np.add.at`` scatters.
+  holds a topology's :class:`DcProgram` and its small-signal program, the
+  recorded :func:`~repro.analysis.smallsignal.linearize` walk.
+  :meth:`MnaTemplate.bind` fills the value slots from a concrete circuit,
+  producing a :class:`BoundMna` with buffers of its own, so concurrently
+  bound instances (thread backend) never share mutable state.
 
-:class:`TransientProgram` records the transient Newton step the same way,
-once per :func:`repro.analysis.transient.simulate_transient` call, with
-value slots refreshed per call, per timestep or per Newton iteration.
+**Bit-identity contract.**  The programs reproduce the per-element walks'
+floating-point results *bit for bit*: entries are listed in the walks'
+emission order, ``np.bincount`` and ``np.add.at`` add in input order, a
+negated stamp reads a slot holding the negated value (``-= v`` and
+``+= -v`` agree exactly), and the MOSFET compact model is evaluated by the
+very same :func:`repro.tech.mosfet.dc_current` calls.  The walks are test
+oracles (``tests/oracles/dc.py``, ``tests/oracles/transient.py``); the
+small-signal walk stays in :mod:`repro.analysis.smallsignal` because it is
+the only path that carries noise sources.
 
-Value slots are pure data — ``(opcode, element name, negate)`` triples
-evaluated by :func:`_slot_value` — so a compiled template is picklable.
-:class:`TemplateStore` persists templates content-keyed by topology key,
-letting pool/queue workers load the compiled program from disk instead of
-recompiling it per synthesis job; :data:`TEMPLATE_STATS` counts compiles
-and store hits so benchmarks can prove the recompile count drops to zero
-on warm reruns.
-
-**Bit-identity contract.**  The compiled assembler reproduces the legacy
-walk's floating-point results *bit for bit*: the scatter arrays list every
-individual ``+=`` in the same order the legacy code performs them
-(``np.add.at`` applies repeated indices sequentially, in order), each slot
-value is computed with the same arithmetic expression shape (negation of
-the extracted value, exactly as the legacy stamps negate), and the MOSFET
-compact model is evaluated by the very same
-:func:`repro.tech.mosfet.dc_current` calls.  ``tests/analysis/test_template.py``
-enforces the equality jacobian-by-jacobian; it is what lets
-:class:`repro.synth.evaluator.HybridEvaluator` default to the compiled
-kernel while keeping campaign records byte-identical to the legacy path.
-
-Limitations: :meth:`BoundMna.linearize` does not carry noise sources (use
-:func:`repro.analysis.smallsignal.linearize` for noise analysis), and
+Limitations: :meth:`BoundMna.linearize` does not carry noise sources, and
 binding requires an exact topology-key match.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
-from pathlib import Path
+import copy
 
 import numpy as np
 
@@ -77,28 +61,20 @@ from repro.errors import AnalysisError
 from repro.obs.metrics import REGISTRY, CounterView
 from repro.tech.mosfet import dc_current
 
-#: MOSFET DC slot kinds (see ``kindvals`` in :meth:`BoundMna.assemble`).
-_KIND_GM, _KIND_GDS, _KIND_GMB, _KIND_GSUM = 0, 1, 2, 3
-
-try:  # the gufunc behind np.linalg.solve for 1-D right-hand sides
-    from numpy.linalg import _umath_linalg as _ul
-
-    _GUFUNC_SOLVE1 = _ul.solve1
-except (ImportError, AttributeError):  # pragma: no cover - numpy variant
-    _GUFUNC_SOLVE1 = None
+#: MOSFET small-signal conductance slot kinds (rows of ``kindvals``).
+_KIND_GM, _KIND_GDS, _KIND_GMB = 0, 1, 2
 
 #: MOSFET small-signal capacitance slot kinds, in compact-model order.
 _CAP_KINDS = ("cgs", "cgd", "cgb", "cdb", "csb")
 
 # ---------------------------------------------------------------------------
-# Constant-slot opcodes.
+# Element-value opcodes.
 #
-# Every non-MOSFET value slot reduces to "extract one element attribute,
-# optionally negated".  Recording slots as (opcode, name, negate) data —
-# instead of closures — keeps the compiled template picklable, which is
-# what makes cross-process template persistence possible.  Negation (not a
-# sign multiply) reproduces the legacy lambdas' ``-value`` expressions
-# bit-for-bit.
+# A slot that holds an element value reduces to "extract one element
+# attribute, optionally negated".  Recording it as (opcode, name, negate)
+# data lets one recorded program serve every same-topology circuit: binding
+# re-reads the values.  Negation (not a sign multiply) reproduces the walks'
+# ``-value`` expressions bit for bit.
 # ---------------------------------------------------------------------------
 
 _OP_ONE = 0  # 1.0 (branch-row unit stamps)
@@ -109,36 +85,10 @@ _OP_IND = 4  # inductance
 _OP_GAIN = 5  # VCVS gain
 _OP_GM = 6  # VCCS transconductance
 _OP_DC = 7  # independent-source DC value
-_OP_ZERO = 8  # 0.0 (inductor DC short constraint)
-
-
-def newton_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` minus its per-call wrapper overhead.
-
-    The Newton loops solve thousands of small dense systems; numpy's
-    public wrapper spends more time validating/coercing than LAPACK
-    spends solving.  This calls the same underlying gufunc directly and
-    falls back to ``np.linalg.solve`` whenever the fast result is not
-    finite — which covers exact singularity (LAPACK info > 0 fills the
-    result with NaNs instead of raising) by re-raising through the
-    public path, and near-singular overflow by returning the public
-    path's bit-identical inf/NaN result.  Either way the caller sees
-    exactly what ``np.linalg.solve`` would have produced.
-    """
-    if _GUFUNC_SOLVE1 is None:
-        return np.linalg.solve(jac, rhs)
-    try:
-        with np.errstate(all="ignore"):
-            dx = _GUFUNC_SOLVE1(jac, rhs)
-    except np.linalg.LinAlgError:
-        dx = None
-    if dx is None or not np.isfinite(dx).all():
-        return np.linalg.solve(jac, rhs)
-    return dx
 
 
 def _slot_value(circuit: Circuit, op: int, name: str | None) -> float:
-    """Evaluate one constant-slot opcode against a concrete circuit."""
+    """Evaluate one element-value opcode against a concrete circuit."""
     if op == _OP_ONE:
         return 1.0
     if op == _OP_RES_INV:
@@ -155,15 +105,13 @@ def _slot_value(circuit: Circuit, op: int, name: str | None) -> float:
         return circuit[name].gm
     if op == _OP_DC:
         return circuit[name].dc
-    if op == _OP_ZERO:
-        return 0.0
     raise AnalysisError(f"unknown template slot opcode {op}")  # pragma: no cover
 
 
 def _eval_slots(
     circuit: Circuit, slots: tuple[tuple[int, str | None, bool], ...]
 ) -> list[float]:
-    """Evaluate a slot table; ``negate`` replays the legacy ``-value``."""
+    """Evaluate a slot table; ``negate`` replays the walks' ``-value``."""
     out = []
     for op, name, negate in slots:
         value = _slot_value(circuit, op, name)
@@ -172,7 +120,7 @@ def _eval_slots(
 
 
 class _Coo:
-    """Ordered COO recorder: one entry per scalar ``+=`` of a legacy walk.
+    """Ordered COO recorder: one entry per scalar ``+=`` of a walk.
 
     ``pos`` of an appended entry is its index in the final value buffer;
     callers remember positions of non-constant slots so they can be
@@ -199,303 +147,522 @@ class _Coo:
         self.const_pos.append(pos)
         self.const_slots.append((op, name, negate))
 
-    def __len__(self) -> int:
-        return len(self.rows)
+
+# ---------------------------------------------------------------------------
+# The Newton program.
+# ---------------------------------------------------------------------------
+
+#: Per-device MOSFET value block of a :class:`NewtonProgram`: every signed
+#: quantity the walk stamps, so the scatters only gather.
+_MOS_IDS, _MOS_NIDS, _MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM = range(6)
+_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM = range(6, 10)
+_MOS_BLOCK = 10
 
 
-class _Rows:
-    """Ordered row-only recorder for residual / RHS vectors."""
+class _Recorder:
+    """Ordered recorder of one Newton-stamp walk (see :class:`NewtonProgram`).
 
-    def __init__(self):
-        self.rows: list[int] = []
+    Row and column arguments are layout indices; :data:`GROUND` operands
+    of a residual entry read the extended vector's ground slot.
+    """
 
-    def append(self, row: int) -> int:
-        self.rows.append(row)
-        return len(self.rows) - 1
+    def __init__(self, layout: MnaLayout, mosfets: list[Mosfet]):
+        self.gnd = layout.size
+        self.mosfets = mosfets
+        self.values: list[float] = [0.0] * (_MOS_BLOCK * len(mosfets))
+        #: (slot, opcode, element name, negate): element values read at bind.
+        self.consts: list[tuple[int, int, str | None, bool]] = []
+        #: Per-solve refreshes by element name: (name, +value slot,
+        #: -value slot) for sources and switches, and inductor histories.
+        self.sources: list[tuple[str, int, int]] = []
+        self.switches: list[tuple[str, int, int]] = []
+        self.inductors: list[tuple[int, int, int, float, int]] = []
+        #: Transient capacitor companions (i, j, c), in walk order.
+        self.caps: list[tuple[int, int, float]] = []
+        self.j_rows: list[int] = []
+        self.j_cols: list[int] = []
+        self.j_src: list[int] = []
+        self.r_rows: list[int] = []
+        self.r_coef: list[int] = []
+        self.r_a: list[int] = []
+        self.r_b: list[int] = []
+        self.r_off: list[int] = []
+        self.zero, self.one, self.neg_one = self.slot(0.0), self.slot(1.0), self.slot(-1.0)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def xi(self, idx: int) -> int:
+        return self.gnd if idx == GROUND else idx
+
+    def slot(self, value: float = 0.0) -> int:
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def signed(self, value: float = 0.0) -> tuple[int, int]:
+        return self.slot(value), self.slot(-value)
+
+    def element_value(self, op: int, name: str) -> tuple[int, int]:
+        """Slots of ``+v`` and ``-v`` for one element value, filled at bind."""
+        pos, neg = self.signed()
+        self.consts += ((pos, op, name, False), (neg, op, name, True))
+        return pos, neg
+
+    def jac(self, row: int, col: int, src: int) -> None:
+        self.j_rows.append(row)
+        self.j_cols.append(col)
+        self.j_src.append(src)
+
+    def res(self, row: int, coef: int, a: int, b: int, off: int) -> None:
+        self.r_rows.append(row)
+        self.r_coef.append(coef)
+        self.r_a.append(self.xi(a))
+        self.r_b.append(self.xi(b))
+        self.r_off.append(off)
+
+    def conductance(self, i: int, j: int, pos: int, neg: int) -> None:
+        """Replay :func:`repro.analysis.mna.stamp_conductance`."""
+        if i != GROUND:
+            self.jac(i, i, pos)
+        if j != GROUND:
+            self.jac(j, j, pos)
+        if i != GROUND and j != GROUND:
+            self.jac(i, j, neg)
+            self.jac(j, i, neg)
+
+    def pair_current(
+        self, i: int, j: int, a: int, b: int, pos: int, neg: int,
+        off_pos: int | None = None, off_neg: int | None = None,
+    ) -> None:
+        """cur = g*(x[a]-x[b]) + off; resid[i] += cur; resid[j] -= cur."""
+        if i != GROUND:
+            self.res(i, pos, a, b, self.zero if off_pos is None else off_pos)
+        if j != GROUND:
+            self.res(j, neg, a, b, self.zero if off_neg is None else off_neg)
+
+    def branch(self, p: int, nn: int, k: int) -> None:
+        """Unit cross terms and branch-current residuals of a branch."""
+        if p != GROUND:
+            self.jac(p, k, self.one)
+            self.jac(k, p, self.one)
+            self.res(p, self.one, k, GROUND, self.zero)
+        if nn != GROUND:
+            self.jac(nn, k, self.neg_one)
+            self.jac(k, nn, self.neg_one)
+            self.res(nn, self.neg_one, k, GROUND, self.zero)
+
+
+def _record_walk(
+    circuit: Circuit,
+    layout: MnaLayout,
+    dt: float | None = None,
+    method: str = "trap",
+    device_ops: dict | None = None,
+) -> _Recorder:
+    """Record the Newton-stamp walk: DC rules when ``dt`` is None.
+
+    In DC, capacitors are open, inductors are shorts, switches conduct at
+    ``resistance_at(0.0)`` and every source value is refreshed per
+    ``source_scale``.  In a transient step, switches and waveform sources
+    refresh per timestep, inductors stamp their companion branch, and the
+    explicit capacitors and nonzero ``device_ops`` capacitances are
+    collected in ``rec.caps`` for the companions that follow the walk.
+    """
+    dc = dt is None
+    rec = _Recorder(layout, [e for e in circuit if isinstance(e, Mosfet)])
+    dev_of = {e.name: dev for dev, e in enumerate(rec.mosfets)}
+    index, zero, one = layout.index, rec.zero, rec.one
+
+    def source_slots(element) -> tuple[int, int]:
+        if not dc and element.waveform is None:
+            return rec.element_value(_OP_DC, element.name)
+        slots = rec.signed()
+        rec.sources.append((element.name,) + slots)
+        return slots
+
+    for element in circuit:
+        name = element.name
+        if isinstance(element, (Resistor, Switch)):
+            i, j = index(element.n1), index(element.n2)
+            if isinstance(element, Resistor):
+                pos, neg = rec.element_value(_OP_RES_INV, name)
+            elif dc:
+                pos, neg = rec.element_value(_OP_SW_INV, name)
+            else:
+                pos, neg = rec.signed()
+                rec.switches.append((name, pos, neg))
+            rec.conductance(i, j, pos, neg)
+            rec.pair_current(i, j, i, j, pos, neg)
+        elif isinstance(element, Capacitor):
+            if not dc:
+                n1, n2 = index(element.n1), index(element.n2)
+                rec.caps.append((n1, n2, element.capacitance))
+        elif isinstance(element, CurrentSource):
+            p, nn = index(element.positive), index(element.negative)
+            pos, neg = source_slots(element)
+            if p != GROUND:
+                rec.res(p, zero, GROUND, GROUND, pos)
+            if nn != GROUND:
+                rec.res(nn, zero, GROUND, GROUND, neg)
+        elif isinstance(element, VoltageSource):
+            p, nn = index(element.positive), index(element.negative)
+            k = layout.branch(name)
+            rec.branch(p, nn, k)
+            # resid[k] += (v_p - v_n) - value, read as 1*(v_p-v_n) + -value.
+            rec.res(k, one, p, nn, source_slots(element)[1])
+        elif isinstance(element, Vcvs):
+            op_ = index(element.out_positive)
+            on_ = index(element.out_negative)
+            cp = index(element.ctrl_positive)
+            cn = index(element.ctrl_negative)
+            k = layout.branch(name)
+            gain, neg_gain = rec.element_value(_OP_GAIN, name)
+            if op_ != GROUND:
+                rec.jac(op_, k, one)
+                rec.jac(k, op_, one)
+            if on_ != GROUND:
+                rec.jac(on_, k, rec.neg_one)
+                rec.jac(k, on_, rec.neg_one)
+            if cp != GROUND:
+                rec.jac(k, cp, neg_gain)
+            if cn != GROUND:
+                rec.jac(k, cn, gain)
+            if op_ != GROUND:
+                rec.res(op_, one, k, GROUND, zero)
+            if on_ != GROUND:
+                rec.res(on_, rec.neg_one, k, GROUND, zero)
+            # Branch row k holds nothing else, so the walk's single
+            # (v_op - v_on) - gain*(v_cp - v_cn) splits exactly in two.
+            rec.res(k, one, op_, on_, zero)
+            rec.res(k, neg_gain, cp, cn, zero)
+        elif isinstance(element, Vccs):
+            op_ = index(element.out_positive)
+            on_ = index(element.out_negative)
+            cp = index(element.ctrl_positive)
+            cn = index(element.ctrl_negative)
+            gm, neg_gm = rec.element_value(_OP_GM, name)
+            for row, pos, neg in ((op_, gm, neg_gm), (on_, neg_gm, gm)):
+                if row == GROUND:
+                    continue
+                if cp != GROUND:
+                    rec.jac(row, cp, pos)
+                if cn != GROUND:
+                    rec.jac(row, cn, neg)
+            rec.pair_current(op_, on_, cp, cn, gm, neg_gm)
+        elif isinstance(element, Inductor):
+            p, nn = index(element.n1), index(element.n2)
+            k = layout.branch(name)
+            rec.branch(p, nn, k)
+            if dc:  # a 0 V source: resid[k] += v_p - v_n
+                rec.res(k, one, p, nn, zero)
+                continue
+            if method == "trap":
+                r_eq = 2.0 * element.inductance / dt
+            else:
+                r_eq = element.inductance / dt
+            neg_r_eq = rec.slot(-r_eq)
+            rec.jac(k, k, neg_r_eq)
+            # resid[k] += (v_p - v_n) - r_eq*i + rhs, term by term.
+            rhs = rec.slot()
+            rec.res(k, one, p, nn, zero)
+            rec.res(k, neg_r_eq, k, GROUND, zero)
+            rec.res(k, zero, GROUND, GROUND, rhs)
+            rec.inductors.append((rec.xi(p), rec.xi(nn), k, r_eq, rhs))
+        elif isinstance(element, Mosfet):
+            base = _MOS_BLOCK * dev_of[name]
+            d, g_ = index(element.drain), index(element.gate)
+            s, b = index(element.source), index(element.bulk)
+            if d != GROUND:
+                rec.res(d, zero, GROUND, GROUND, base + _MOS_IDS)
+            if s != GROUND:
+                rec.res(s, zero, GROUND, GROUND, base + _MOS_NIDS)
+            for row, kinds in (
+                (d, (_MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM)),
+                (s, (_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM)),
+            ):
+                if row == GROUND:
+                    continue
+                for col, kind in zip((g_, d, b, s), kinds):
+                    if col != GROUND:
+                        rec.jac(row, col, base + kind)
+            if not dc:  # device capacitances at the t=0 operating point
+                op = device_ops[name]
+                for i, j, c in (
+                    (g_, s, op.cgs),
+                    (g_, d, op.cgd),
+                    (g_, b, op.cgb),
+                    (d, b, op.cdb),
+                    (s, b, op.csb),
+                ):
+                    if c > 0.0:
+                        rec.caps.append((i, j, c))
+        else:
+            raise AnalysisError(
+                f"element type {type(element).__name__} not supported in "
+                + ("DC" if dc else "transient")
+            )
+    return rec
+
+
+class NewtonProgram:
+    """A recorded Newton-stamp walk: one slot buffer, two scatters.
+
+    The Jacobian is ``np.bincount`` over COO entries ``(row, col, slot)``
+    and the residual ``np.bincount`` over entries
+    ``coef*(xe[a] - xe[b]) + offset``, both in the walk's emission order.
+    The first :data:`_MOS_BLOCK` slots per MOSFET hold its signed
+    ``ids/gm/gds/gmb``, refreshed every Newton iteration by one scalar
+    :func:`dc_current` call per device.  Subclasses decide what the walk
+    appends and which slots refresh per solve.
+    """
+
+    def __init__(self, rec: _Recorder, layout: MnaLayout):
+        n = layout.size
+        self.size = n
+        self.n_nodes = len(layout.nets)
+        intp = np.intp
+        self._values0 = np.array(rec.values, dtype=float)
+        const_pos = [pos for pos, _, _, _ in rec.consts]
+        self._const_pos = np.asarray(const_pos, dtype=intp)
+        self._const_slots = tuple((op, nm, neg) for _, op, nm, neg in rec.consts)
+        self._source_slots = tuple(rec.sources)
+        self._switch_slots = tuple(rec.switches)
+        self._mos_slots = tuple(
+            (e.name, tuple(rec.xi(layout.index(net))
+                           for net in (e.drain, e.gate, e.source, e.bulk)))
+            for e in rec.mosfets
+        )
+        self._n_mos_slots = _MOS_BLOCK * len(rec.mosfets)
+        self._entries = (
+            np.asarray(rec.j_rows, dtype=intp) * n + np.asarray(rec.j_cols, dtype=intp),
+            np.asarray(rec.j_src, dtype=intp),
+            np.asarray(rec.r_rows, dtype=intp),
+            np.asarray(rec.r_coef, dtype=intp),
+            np.asarray(rec.r_a, dtype=intp),
+            np.asarray(rec.r_b, dtype=intp),
+            np.asarray(rec.r_off, dtype=intp),
+        )
+
+    def _load(self, circuit: Circuit) -> None:
+        """Give this program its own buffers, filled from ``circuit``."""
+        values = self._values0.copy()
+        if len(self._const_pos):
+            values[self._const_pos] = _eval_slots(circuit, self._const_slots)
+        self._values = values
+        self._xe = np.zeros(self.size + 1)
+        self._sources = [(circuit[nm], pos, neg) for nm, pos, neg in self._source_slots]
+        self._switches = [(circuit[nm], pos, neg) for nm, pos, neg in self._switch_slots]
+        #: (params, w, l, mult, d, g, s, b) per device — flat tuples so the
+        #: per-iteration model loop avoids attribute chains.
+        self._mos_args = []
+        for nm, xe in self._mos_slots:
+            e = circuit[nm]
+            self._mos_args.append((e.params, e.w, e.l, e.mult) + xe)
+
+    def _system(self, x: np.ndarray, entries) -> tuple[np.ndarray, np.ndarray]:
+        """The Newton system at ``x`` over ``entries``: (jacobian, residual)."""
+        j_flat, j_src, r_rows, r_coef, r_a, r_b, r_off = entries
+        n = self.size
+        xe = self._xe
+        xe[:n] = x
+        values = self._values
+        if self._mos_args:
+            xl = xe.tolist()
+            block: list[float] = []
+            for params, w, l, mult, d, g_, s, b in self._mos_args:
+                xs = xl[s]
+                ids, gm, gds, gmb = dc_current(
+                    params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
+                )
+                ids *= mult
+                gm *= mult
+                gds *= mult
+                gmb *= mult
+                gsum = gm + gds + gmb
+                block += (ids, -ids, gm, gds, gmb, -gsum, -gm, -gds, -gmb, gsum)
+            values[: self._n_mos_slots] = block
+        jac = np.bincount(j_flat, values[j_src], minlength=n * n).reshape(n, n)
+        currents = values[r_coef] * (xe[r_a] - xe[r_b]) + values[r_off]
+        resid = np.bincount(r_rows, currents, minlength=n)
+        return jac, resid
+
+
+class DcProgram(NewtonProgram):
+    """The DC Newton program of one topology (cached on its :class:`MnaTemplate`).
+
+    The walk's entries are followed by the gmin entries — ``gmin`` on every
+    node diagonal, then ``gmin*x[i]`` on every node residual — which
+    :meth:`assemble` leaves out while ``gmin`` is 0.
+    """
+
+    def __init__(self, circuit: Circuit, layout: MnaLayout):
+        rec = _record_walk(circuit, layout)
+        n_jac, n_res = len(rec.j_rows), len(rec.r_rows)
+        gmin = rec.slot()
+        nodes = range(len(layout.nets))
+        for i in nodes:
+            rec.jac(i, i, gmin)
+        for i in nodes:
+            rec.res(i, gmin, i, GROUND, rec.zero)
+        super().__init__(rec, layout)
+        self._gmin = gmin
+        j_flat, j_src, r_rows, r_coef, r_a, r_b, r_off = self._entries
+        #: The entries without the gmin tail.
+        self._walk = (j_flat[:n_jac], j_src[:n_jac], r_rows[:n_res],
+                      r_coef[:n_res], r_a[:n_res], r_b[:n_res], r_off[:n_res])
+        self.layout = layout
+
+    def bind(self, circuit: Circuit) -> "DcProgram":
+        """A copy with its own buffers, filled from same-topology ``circuit``.
+
+        The copy is a :func:`~repro.analysis.dc.solve_dc` assembly.
+        """
+        bound = copy.copy(self)
+        bound.layout = self.layout.with_circuit(circuit)
+        bound._load(circuit)
+        bound._scale = None
+        return bound
+
+    def assemble(
+        self, x: np.ndarray, gmin: float, source_scale: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The DC Newton system at ``x``: (jacobian, residual)."""
+        values = self._values
+        if source_scale != self._scale:
+            for element, pos, neg in self._sources:
+                value = element.dc * source_scale
+                values[pos] = value
+                values[neg] = -value
+            self._scale = source_scale
+        if gmin > 0.0:
+            values[self._gmin] = gmin
+            return self._system(x, self._entries)
+        return self._system(x, self._walk)
+
+
+class TransientProgram(NewtonProgram):
+    """The transient Newton step of one circuit, compiled for one call.
+
+    The walk's value slots refresh at three rates:
+
+    * **constant** — resistor conductances, unit branch stamps, VCVS/VCCS
+      gains, inductor ``r_eq`` and companion conductances ``2c/dt`` or
+      ``c/dt``;
+    * **per timestep** (:meth:`begin_step`) — switch conductances,
+      waveform source values, companion history currents ``i_eq`` and
+      inductor history terms;
+    * **per Newton iteration** (:meth:`assemble`) — MOSFET
+      ``ids/gm/gds/gmb``.
+
+    The capacitor companions of the explicit capacitors and the nonzero
+    t=0 device capacitances follow the walk.  That list depends on which
+    device capacitances are positive, so the structure is not a function
+    of the topology key alone; a build costs well under a millisecond, and
+    the program is built per call rather than cached.  The waveforms equal
+    ``tests/oracles/transient.py`` bit for bit.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        layout: MnaLayout,
+        device_ops: dict,
+        dt: float,
+        method: str,
+    ):
+        rec = _record_walk(circuit, layout, dt, method, device_ops)
+        self.method = method
+        caps = rec.caps
+        cap_g = [2.0 * c / dt if method == "trap" else c / dt for _, _, c in caps]
+        cap_ieq: list[int] = []
+        cap_neg_ieq: list[int] = []
+        for (i, j, _), g_eq in zip(caps, cap_g):
+            pos, neg = rec.signed(g_eq)
+            ieq, neg_ieq = rec.signed()
+            cap_ieq.append(ieq)
+            cap_neg_ieq.append(neg_ieq)
+            rec.conductance(i, j, pos, neg)
+            rec.pair_current(i, j, i, j, pos, neg, ieq, neg_ieq)
+
+        super().__init__(rec, layout)
+        intp = np.intp
+        self._inductors = rec.inductors
+        self._cap_a = np.asarray([rec.xi(i) for i, _, _ in caps], dtype=intp)
+        self._cap_b = np.asarray([rec.xi(j) for _, j, _ in caps], dtype=intp)
+        self._cap_g = np.asarray(cap_g, dtype=float)
+        self._cap_neg_g = -self._cap_g
+        self._cap_ieq = np.asarray(cap_ieq, dtype=intp)
+        self._cap_neg_ieq = np.asarray(cap_neg_ieq, dtype=intp)
+        #: Companion history: current through each cap at the last step.
+        self._cap_current = np.zeros(len(caps))
+        self._dv_old = np.zeros(len(caps))
+        #: Previous-step voltage across each inductor (trapezoidal history).
+        self._ind_prev_v = [0.0] * len(self._inductors)
+        #: Newton systems assembled so far (the per-call iteration count).
+        self.assemblies = 0
+        self._load(circuit)
+
+    def begin_step(self, t: float, x_prev: np.ndarray) -> None:
+        """Refresh the per-timestep slots for the step ending at ``t``."""
+        values = self._values
+        for element, pos, neg in self._switches:
+            g = 1.0 / element.resistance_at(t)
+            values[pos] = g
+            values[neg] = -g
+        for element, pos, neg in self._sources:
+            value = element.value_at(t)
+            values[pos] = value
+            values[neg] = -value
+        for k_ind, (_, _, k, r_eq, rhs) in enumerate(self._inductors):
+            i_prev = x_prev[k]
+            if self.method == "trap":
+                values[rhs] = r_eq * i_prev + self._ind_prev_v[k_ind]
+            else:
+                values[rhs] = r_eq * i_prev
+        xe = self._xe
+        xe[: self.size] = x_prev
+        dv_old = xe[self._cap_a] - xe[self._cap_b]
+        i_eq = self._cap_neg_g * dv_old
+        if self.method == "trap":
+            i_eq = i_eq - self._cap_current
+        values[self._cap_ieq] = i_eq
+        values[self._cap_neg_ieq] = -i_eq
+        self._dv_old = dv_old
+
+    def end_step(self, x: np.ndarray) -> None:
+        """Advance the companion histories to the accepted solution ``x``."""
+        xe = self._xe
+        xe[: self.size] = x
+        dv_new = xe[self._cap_a] - xe[self._cap_b]
+        current = self._cap_g * (dv_new - self._dv_old)
+        if self.method == "trap":
+            current = current - self._cap_current
+        self._cap_current = current
+        for k_ind, (p, nn, _, _, _) in enumerate(self._inductors):
+            self._ind_prev_v[k_ind] = float(xe[p]) - float(xe[nn])
+
+    def assemble(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Newton system at ``x``: (jacobian, residual)."""
+        self.assemblies += 1
+        return self._system(x, self._entries)
+
+
+# ---------------------------------------------------------------------------
+# Per-topology templates: the DC and small-signal programs.
+# ---------------------------------------------------------------------------
 
 
 class MnaTemplate:
-    """Compiled stamp structure for one circuit topology.
+    """Compiled stamp programs for one circuit topology.
 
     Build via :func:`template_for` (cached) or directly from a prototype
     circuit; call :meth:`bind` with any same-topology circuit to obtain a
-    value-carrying :class:`BoundMna`.  Instances are pure data (index
-    arrays plus opcode slot tables) and therefore picklable — see
-    :class:`TemplateStore`.
+    value-carrying :class:`BoundMna`.
     """
 
     def __init__(self, circuit: Circuit):
         self.key = circuit.topology_key()
         self.layout = layout_for(circuit)
-        layout = self.layout
-        n = layout.size
-        self.size = n
-        self.n_nodes = len(layout.nets)
-        #: Ground maps to the extra slot ``n`` of the extended vector.
-        ground_slot = n
-
-        def xi(net: str) -> int:
-            idx = layout.index(net)
-            return ground_slot if idx == GROUND else idx
-
-        # -- DC Newton program -------------------------------------------
-        jac = _Coo()
-        res = _Rows()
-        # Pair currents: value = coeff * (x_ext[a] - x_ext[b]).
-        pair_a: list[int] = []
-        pair_b: list[int] = []
-        pair_slots: list[tuple[int, str | None, bool]] = []
-        r_pair_pos: list[int] = []
-        r_pair_src: list[int] = []
-        r_pair_sign: list[float] = []
-        # Branch-current references: value = sign * x[k].
-        r_br_pos: list[int] = []
-        r_br_k: list[int] = []
-        r_br_sign: list[float] = []
-        # Voltage constraints: value = (xe[p] - xe[n]) - dc * source_scale.
-        vc_p: list[int] = []
-        vc_n: list[int] = []
-        vc_dc_slots: list[tuple[int, str | None, bool]] = []
-        r_vc_pos: list[int] = []
-        # VCVS constraints: value = (xe[op]-xe[on]) - gain*(xe[cp]-xe[cn]).
-        vg_op: list[int] = []
-        vg_on: list[int] = []
-        vg_cp: list[int] = []
-        vg_cn: list[int] = []
-        vg_gain_slots: list[tuple[int, str | None, bool]] = []
-        r_vg_pos: list[int] = []
-        # Source injections: value = signed_dc * source_scale.
-        r_inj_pos: list[int] = []
-        r_inj_slots: list[tuple[int, str | None, bool]] = []
-        # MOSFET slots.
-        mos_names: list[str] = []
-        mos_xe: list[tuple[int, int, int, int]] = []  # (d, g, s, b) ext slots
-        j_mos_pos: list[int] = []
-        j_mos_dev: list[int] = []
-        j_mos_kind: list[int] = []
-        j_mos_sign: list[float] = []
-        r_mos_pos: list[int] = []
-        r_mos_dev: list[int] = []
-        r_mos_sign: list[float] = []
-
-        def emit_pair_current(
-            a: int, b: int, op: int, name: str, node_i: int, node_j: int
-        ):
-            """cur = coeff*(xe[a]-xe[b]); resid[i] += cur; resid[j] -= cur."""
-            pair_a.append(a)
-            pair_b.append(b)
-            pair_slots.append((op, name, False))
-            src = len(pair_a) - 1
-            for node, sign in ((node_i, +1.0), (node_j, -1.0)):
-                if node == GROUND:
-                    continue
-                r_pair_pos.append(res.append(node))
-                r_pair_src.append(src)
-                r_pair_sign.append(sign)
-
-        def emit_conductance(i: int, j: int, op: int, name: str):
-            """Replay :func:`repro.analysis.mna.stamp_conductance`."""
-            if i != GROUND:
-                jac.append_const(i, i, op, name)
-            if j != GROUND:
-                jac.append_const(j, j, op, name)
-            if i != GROUND and j != GROUND:
-                jac.append_const(i, j, op, name, negate=True)
-                jac.append_const(j, i, op, name, negate=True)
-
-        def emit_branch_rows(p: int, nn: int, k: int):
-            """Voltage-source-style jac cross terms + resid branch currents."""
-            if p != GROUND:
-                jac.append_const(p, k, _OP_ONE)
-                jac.append_const(k, p, _OP_ONE)
-            if nn != GROUND:
-                jac.append_const(nn, k, _OP_ONE, negate=True)
-                jac.append_const(k, nn, _OP_ONE, negate=True)
-            if p != GROUND:
-                r_br_pos.append(res.append(p))
-                r_br_k.append(k)
-                r_br_sign.append(+1.0)
-            if nn != GROUND:
-                r_br_pos.append(res.append(nn))
-                r_br_k.append(k)
-                r_br_sign.append(-1.0)
-
-        for element in circuit:
-            name = element.name
-            if isinstance(element, Resistor):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_RES_INV, name)
-                emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_RES_INV, name, i, j
-                )
-            elif isinstance(element, Switch):
-                i, j = layout.index(element.n1), layout.index(element.n2)
-                emit_conductance(i, j, _OP_SW_INV, name)
-                emit_pair_current(
-                    xi(element.n1), xi(element.n2), _OP_SW_INV, name, i, j
-                )
-            elif isinstance(element, Capacitor):
-                continue  # open in DC
-            elif isinstance(element, CurrentSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
-                if p != GROUND:
-                    r_inj_pos.append(res.append(p))
-                    r_inj_slots.append((_OP_DC, name, False))
-                if nn != GROUND:
-                    r_inj_pos.append(res.append(nn))
-                    r_inj_slots.append((_OP_DC, name, True))
-            elif isinstance(element, VoltageSource):
-                p = layout.index(element.positive)
-                nn = layout.index(element.negative)
-                k = layout.branch(name)
-                emit_branch_rows(p, nn, k)
-                vc_p.append(xi(element.positive))
-                vc_n.append(xi(element.negative))
-                vc_dc_slots.append((_OP_DC, name, False))
-                r_vc_pos.append(res.append(k))
-            elif isinstance(element, Vcvs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
-                k = layout.branch(name)
-                # stamp_vcvs order: out rows, then the gain row entries.
-                if op_ != GROUND:
-                    jac.append_const(op_, k, _OP_ONE)
-                    jac.append_const(k, op_, _OP_ONE)
-                if on_ != GROUND:
-                    jac.append_const(on_, k, _OP_ONE, negate=True)
-                    jac.append_const(k, on_, _OP_ONE, negate=True)
-                if cp != GROUND:
-                    jac.append_const(k, cp, _OP_GAIN, name, negate=True)
-                if cn != GROUND:
-                    jac.append_const(k, cn, _OP_GAIN, name)
-                if op_ != GROUND:
-                    r_br_pos.append(res.append(op_))
-                    r_br_k.append(k)
-                    r_br_sign.append(+1.0)
-                if on_ != GROUND:
-                    r_br_pos.append(res.append(on_))
-                    r_br_k.append(k)
-                    r_br_sign.append(-1.0)
-                vg_op.append(xi(element.out_positive))
-                vg_on.append(xi(element.out_negative))
-                vg_cp.append(xi(element.ctrl_positive))
-                vg_cn.append(xi(element.ctrl_negative))
-                vg_gain_slots.append((_OP_GAIN, name, False))
-                r_vg_pos.append(res.append(k))
-            elif isinstance(element, Vccs):
-                op_ = layout.index(element.out_positive)
-                on_ = layout.index(element.out_negative)
-                cp = layout.index(element.ctrl_positive)
-                cn = layout.index(element.ctrl_negative)
-                for row, sign in ((op_, +1.0), (on_, -1.0)):
-                    if row == GROUND:
-                        continue
-                    if cp != GROUND:
-                        jac.append_const(row, cp, _OP_GM, name, negate=sign < 0)
-                    if cn != GROUND:
-                        jac.append_const(row, cn, _OP_GM, name, negate=sign > 0)
-                emit_pair_current(
-                    xi(element.ctrl_positive),
-                    xi(element.ctrl_negative),
-                    _OP_GM,
-                    name,
-                    op_,
-                    on_,
-                )
-            elif isinstance(element, Inductor):
-                p = layout.index(element.n1)
-                nn = layout.index(element.n2)
-                k = layout.branch(name)
-                emit_branch_rows(p, nn, k)
-                vc_p.append(xi(element.n1))
-                vc_n.append(xi(element.n2))
-                vc_dc_slots.append((_OP_ZERO, None, False))  # DC short
-                r_vc_pos.append(res.append(k))
-            elif isinstance(element, Mosfet):
-                d = layout.index(element.drain)
-                g_ = layout.index(element.gate)
-                s = layout.index(element.source)
-                b = layout.index(element.bulk)
-                dev = len(mos_names)
-                mos_names.append(name)
-                mos_xe.append(
-                    (
-                        xi(element.drain),
-                        xi(element.gate),
-                        xi(element.source),
-                        xi(element.bulk),
-                    )
-                )
-                for node, sign in ((d, +1.0), (s, -1.0)):
-                    if node == GROUND:
-                        continue
-                    r_mos_pos.append(res.append(node))
-                    r_mos_dev.append(dev)
-                    r_mos_sign.append(sign)
-                for row, sign in ((d, +1.0), (s, -1.0)):
-                    if row == GROUND:
-                        continue
-                    for col, kind, ks in (
-                        (g_, _KIND_GM, sign),
-                        (d, _KIND_GDS, sign),
-                        (b, _KIND_GMB, sign),
-                        (s, _KIND_GSUM, -sign),
-                    ):
-                        if col == GROUND:
-                            continue
-                        j_mos_pos.append(jac.append(row, col))
-                        j_mos_dev.append(dev)
-                        j_mos_kind.append(kind)
-                        j_mos_sign.append(ks)
-            else:
-                raise AnalysisError(
-                    f"element type {type(element).__name__} not supported "
-                    "by the compiled DC template"
-                )
-
-        asarray = np.asarray
-        self._jr = asarray(jac.rows, dtype=np.intp)
-        self._jc = asarray(jac.cols, dtype=np.intp)
-        self._j_const_pos = asarray(jac.const_pos, dtype=np.intp)
-        self._j_const_slots = tuple(jac.const_slots)
-        self._rr = asarray(res.rows, dtype=np.intp)
-        self._pair_a = asarray(pair_a, dtype=np.intp)
-        self._pair_b = asarray(pair_b, dtype=np.intp)
-        self._pair_slots = tuple(pair_slots)
-        self._r_pair_pos = asarray(r_pair_pos, dtype=np.intp)
-        self._r_pair_src = asarray(r_pair_src, dtype=np.intp)
-        self._r_pair_sign = asarray(r_pair_sign, dtype=float)
-        self._r_br_pos = asarray(r_br_pos, dtype=np.intp)
-        self._r_br_k = asarray(r_br_k, dtype=np.intp)
-        self._r_br_sign = asarray(r_br_sign, dtype=float)
-        self._vc_p = asarray(vc_p, dtype=np.intp)
-        self._vc_n = asarray(vc_n, dtype=np.intp)
-        self._vc_dc_slots = tuple(vc_dc_slots)
-        self._r_vc_pos = asarray(r_vc_pos, dtype=np.intp)
-        self._vg_op = asarray(vg_op, dtype=np.intp)
-        self._vg_on = asarray(vg_on, dtype=np.intp)
-        self._vg_cp = asarray(vg_cp, dtype=np.intp)
-        self._vg_cn = asarray(vg_cn, dtype=np.intp)
-        self._vg_gain_slots = tuple(vg_gain_slots)
-        self._r_vg_pos = asarray(r_vg_pos, dtype=np.intp)
-        self._r_inj_pos = asarray(r_inj_pos, dtype=np.intp)
-        self._r_inj_slots = tuple(r_inj_slots)
-        self.mos_names = tuple(mos_names)
-        self._mos_xe = mos_xe
-        self._j_mos_pos = asarray(j_mos_pos, dtype=np.intp)
-        self._j_mos_dev = asarray(j_mos_dev, dtype=np.intp)
-        self._j_mos_kind = asarray(j_mos_kind, dtype=np.intp)
-        self._j_mos_sign = asarray(j_mos_sign, dtype=float)
-        self._r_mos_pos = asarray(r_mos_pos, dtype=np.intp)
-        self._r_mos_dev = asarray(r_mos_dev, dtype=np.intp)
-        self._r_mos_sign = asarray(r_mos_sign, dtype=float)
-
+        self.size = self.layout.size
+        self.mos_names = tuple(e.name for e in circuit if isinstance(e, Mosfet))
+        self.dc = DcProgram(circuit, self.layout)
         self._compile_linear(circuit)
 
     # -- small-signal program --------------------------------------------
@@ -507,7 +674,7 @@ class MnaTemplate:
         c = _Coo()
         g_mos_pos: list[int] = []
         g_mos_dev: list[int] = []
-        g_mos_kind: list[int] = []  # _KIND_GM / _KIND_GDS / _KIND_GMB / _KIND_GSUM
+        g_mos_kind: list[int] = []  # _KIND_GM / _KIND_GDS / _KIND_GMB
         g_mos_sign: list[float] = []
         c_mos_pos: list[int] = []
         c_mos_dev: list[int] = []
@@ -692,18 +859,6 @@ class BoundMna:
     def __init__(self, template: MnaTemplate, circuit: Circuit):
         self.template = template
         t = template
-        n_mos = max(len(t.mos_names), 1)
-        # DC buffers: constants filled by rebind, MOSFET slots per call.
-        self._jv = np.zeros(len(t._jr))
-        self._rv = np.zeros(len(t._rr))
-        self._pair_coeff = np.zeros(len(t._pair_slots))
-        self._vc_dc = np.zeros(len(t._vc_dc_slots))
-        self._vg_gain = np.zeros(len(t._vg_gain_slots))
-        self._inj_dc = np.zeros(len(t._r_inj_slots))
-        self._kindvals = np.zeros((4, n_mos))
-        self._ids = np.zeros(n_mos)
-        self._xe = np.empty(t.size + 1)
-        # Small-signal buffers.
         self._gv = np.zeros(len(t._gr))
         self._cv = np.zeros(len(t._cr))
         self._b_ac = np.zeros(t.size, dtype=complex)
@@ -713,29 +868,15 @@ class BoundMna:
         """Refresh every value slot from ``circuit`` (same topology).
 
         Evaluation loops that rebuild the same testbench topology per
-        candidate reuse one :class:`BoundMna` and rebind it — the buffers
-        and index structure carry over, only values are re-read.
+        candidate reuse one :class:`BoundMna` and rebind it — the index
+        structure carries over, only values are re-read.
         """
         t = self.template
         self.circuit = circuit
-        self.layout: MnaLayout = t.layout.with_circuit(circuit)
-        if len(t._j_const_pos):
-            self._jv[t._j_const_pos] = _eval_slots(circuit, t._j_const_slots)
-        if len(self._pair_coeff):
-            self._pair_coeff[:] = _eval_slots(circuit, t._pair_slots)
-        if len(self._vc_dc):
-            self._vc_dc[:] = _eval_slots(circuit, t._vc_dc_slots)
-        if len(self._vg_gain):
-            self._vg_gain[:] = _eval_slots(circuit, t._vg_gain_slots)
-        if len(self._inj_dc):
-            self._inj_dc[:] = _eval_slots(circuit, t._r_inj_slots)
+        #: The bound DC program: the ``assembly`` of this circuit's DC solve.
+        self.dc = t.dc.bind(circuit)
+        self.layout: MnaLayout = self.dc.layout
         self._mosfets = [circuit[nm] for nm in t.mos_names]
-        #: (params, w, l, mult, d, g, s, b) per device — flat tuples so the
-        #: per-iteration model loop avoids attribute chains.
-        self._mos_args = [
-            (e.params, e.w, e.l, e.mult) + t._mos_xe[i]
-            for i, e in enumerate(self._mosfets)
-        ]
         if len(t._g_const_pos):
             self._gv[t._g_const_pos] = _eval_slots(circuit, t._g_const_slots)
         if len(t._c_const_pos):
@@ -749,67 +890,6 @@ class BoundMna:
                 b_ac[idx] -= circuit[nm].ac
         return self
 
-    # -- DC Newton assembly ------------------------------------------------
-
-    def assemble(
-        self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-identical replacement for :func:`repro.analysis.dc._assemble`."""
-        t = self.template
-        n = t.size
-        xe = self._xe
-        xe[:n] = x
-        xe[n] = 0.0
-
-        # MOSFET small-signal quantities (same scalar model calls as legacy).
-        kindvals = self._kindvals
-        ids_arr = self._ids
-        for dev, (params, w, l, mult, d, g_, s, b) in enumerate(self._mos_args):
-            xs = xe[s]
-            ids, gm, gds, gmb = dc_current(
-                params, w, l, xe[g_] - xs, xe[d] - xs, xe[b] - xs
-            )
-            ids_arr[dev] = ids * mult
-            kindvals[_KIND_GM, dev] = gm = gm * mult
-            kindvals[_KIND_GDS, dev] = gds = gds * mult
-            kindvals[_KIND_GMB, dev] = gmb = gmb * mult
-            kindvals[_KIND_GSUM, dev] = gm + gds + gmb
-
-        jv = self._jv
-        if len(t._j_mos_pos):
-            jv[t._j_mos_pos] = t._j_mos_sign * kindvals[t._j_mos_kind, t._j_mos_dev]
-        jac = np.zeros((n, n))
-        np.add.at(jac, (t._jr, t._jc), jv)
-
-        rv = self._rv
-        if len(t._r_pair_pos):
-            cur = self._pair_coeff * (xe[t._pair_a] - xe[t._pair_b])
-            rv[t._r_pair_pos] = t._r_pair_sign * cur[t._r_pair_src]
-        if len(t._r_br_pos):
-            rv[t._r_br_pos] = t._r_br_sign * x[t._r_br_k]
-        if len(t._r_vc_pos):
-            rv[t._r_vc_pos] = (xe[t._vc_p] - xe[t._vc_n]) - self._vc_dc * source_scale
-        if len(t._r_vg_pos):
-            rv[t._r_vg_pos] = (xe[t._vg_op] - xe[t._vg_on]) - self._vg_gain * (
-                xe[t._vg_cp] - xe[t._vg_cn]
-            )
-        if len(t._r_inj_pos):
-            rv[t._r_inj_pos] = self._inj_dc * source_scale
-        if len(t._r_mos_pos):
-            rv[t._r_mos_pos] = t._r_mos_sign * ids_arr[t._r_mos_dev]
-        resid = np.zeros(n)
-        np.add.at(resid, t._rr, rv)
-
-        if gmin > 0.0:
-            diag = np.arange(t.n_nodes)
-            jac[diag, diag] += gmin
-            resid[:t.n_nodes] += gmin * x[:t.n_nodes]
-        return jac, resid
-
-    def newton_solve(self, jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """:func:`newton_solve` (the DC Newton loop calls it as a method)."""
-        return newton_solve(jac, rhs)
-
     # -- small-signal ------------------------------------------------------
 
     def linearize(self, op) -> LinearizedCircuit:
@@ -817,12 +897,13 @@ class BoundMna:
 
         ``op`` is the :class:`~repro.analysis.dc.DcSolution` of this bound
         circuit.  Noise sources are not carried (the compiled evaluator path
-        never uses them); call the legacy ``linearize`` for noise analysis.
+        never uses them); call :func:`~repro.analysis.smallsignal.linearize` for noise analysis.
         """
         t = self.template
         n = t.size
-        kindvals = self._kindvals
-        capvals = np.zeros((len(_CAP_KINDS), max(len(self._mosfets), 1)))
+        n_mos = max(len(self._mosfets), 1)
+        kindvals = np.zeros((3, n_mos))
+        capvals = np.zeros((len(_CAP_KINDS), n_mos))
         for dev, element in enumerate(self._mosfets):
             device_op = op.device_ops[element.name]
             kindvals[_KIND_GM, dev] = device_op.gm
@@ -854,398 +935,17 @@ class BoundMna:
 
 
 # ---------------------------------------------------------------------------
-# Transient Newton program.
-# ---------------------------------------------------------------------------
-
-#: Per-device MOSFET value block of a :class:`TransientProgram`: every
-#: signed quantity the per-element walk stamps, so the scatters only gather.
-_MOS_IDS, _MOS_NIDS, _MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM = range(6)
-_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM = range(6, 10)
-_MOS_BLOCK = 10
-
-
-class TransientProgram:
-    """The transient Newton step of one circuit, compiled for one call.
-
-    Records the per-element transient walk once — every Jacobian ``+=``
-    as a COO entry and every residual ``+=`` as a row entry, in emission
-    order, followed by the capacitor companions of the explicit
-    capacitors and the nonzero t=0 device capacitances.  Each entry
-    reads its value from one flat slot buffer, refreshed at three rates:
-
-    * **constant** — resistor conductances, unit branch stamps, VCVS/VCCS
-      gains, inductor ``r_eq`` and companion conductances ``2c/dt`` or
-      ``c/dt``;
-    * **per timestep** (:meth:`begin_step`) — switch conductances,
-      waveform source values, companion history currents ``i_eq`` and
-      inductor history terms;
-    * **per Newton iteration** (:meth:`assemble`) — MOSFET
-      ``ids/gm/gds/gmb`` from one scalar :func:`dc_current` call per
-      device.
-
-    A residual entry adds ``coef*(xe[a] - xe[b]) + offset`` to its row,
-    where ``xe`` is the unknown vector extended by a ground slot of 0.0.
-    Negated stamps read a slot holding the negated value, which is exact,
-    so ``-= v`` and ``+= -v`` agree bit for bit.  ``np.bincount`` adds its
-    weights in input order, so every matrix and residual cell sums the
-    same values in the same order as the walk, and the waveforms equal
-    ``tests/oracles/transient.py`` bit for bit.
-
-    The capacitor list depends on which t=0 device capacitances are
-    positive, so the structure is not a function of the topology key
-    alone; a build costs well under a millisecond, and the program is
-    built per call rather than cached.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        layout: MnaLayout,
-        device_ops: dict,
-        dt: float,
-        method: str,
-    ):
-        n = layout.size
-        self.size = n
-        self.n_nodes = len(layout.nets)
-        self.method = method
-        gnd = n  # ground's slot in the extended vector
-
-        def xi(idx: int) -> int:
-            return gnd if idx == GROUND else idx
-
-        mosfets = [e for e in circuit if isinstance(e, Mosfet)]
-        dev_of = {e.name: dev for dev, e in enumerate(mosfets)}
-        values: list[float] = [0.0] * (_MOS_BLOCK * len(mosfets))
-
-        def slot(value: float = 0.0) -> int:
-            values.append(value)
-            return len(values) - 1
-
-        zero, one, neg_one = slot(0.0), slot(1.0), slot(-1.0)
-        j_rows: list[int] = []
-        j_cols: list[int] = []
-        j_src: list[int] = []
-        r_rows: list[int] = []
-        r_coef: list[int] = []
-        r_a: list[int] = []
-        r_b: list[int] = []
-        r_off: list[int] = []
-
-        def jac(row: int, col: int, src: int) -> None:
-            j_rows.append(row)
-            j_cols.append(col)
-            j_src.append(src)
-
-        def res(row: int, coef: int, a: int, b: int, off: int) -> None:
-            r_rows.append(row)
-            r_coef.append(coef)
-            r_a.append(xi(a))
-            r_b.append(xi(b))
-            r_off.append(off)
-
-        def conductance(i: int, j: int, pos: int, neg: int) -> None:
-            """Replay :func:`repro.analysis.mna.stamp_conductance`."""
-            if i != GROUND:
-                jac(i, i, pos)
-            if j != GROUND:
-                jac(j, j, pos)
-            if i != GROUND and j != GROUND:
-                jac(i, j, neg)
-                jac(j, i, neg)
-
-        def pair_current(
-            i: int, j: int, a: int, b: int, pos: int, neg: int,
-            off_pos: int = zero, off_neg: int = zero,
-        ) -> None:
-            """cur = g*(x[a]-x[b]) + off; resid[i] += cur; resid[j] -= cur."""
-            if i != GROUND:
-                res(i, pos, a, b, off_pos)
-            if j != GROUND:
-                res(j, neg, a, b, off_neg)
-
-        def branch(p: int, nn: int, k: int) -> None:
-            """Unit cross terms and branch-current residuals of a branch."""
-            if p != GROUND:
-                jac(p, k, one)
-                jac(k, p, one)
-                res(p, one, k, GROUND, zero)
-            if nn != GROUND:
-                jac(nn, k, neg_one)
-                jac(k, nn, neg_one)
-                res(nn, neg_one, k, GROUND, zero)
-
-        def signed(value: float) -> tuple[int, int]:
-            return slot(value), slot(-value)
-
-        #: Per-step refreshes, in walk order: switches (g, -g slots),
-        #: waveform sources (value slot or None, -value slot) and
-        #: inductors (xe indices p, n, branch k, r_eq, history slot).
-        self._switches: list[tuple[Switch, int, int]] = []
-        self._sources: list[tuple[object, int | None, int]] = []
-        self._inductors: list[tuple[int, int, int, float, int]] = []
-        index = layout.index
-        for element in circuit:
-            if isinstance(element, (Resistor, Switch)):
-                i, j = index(element.n1), index(element.n2)
-                if isinstance(element, Resistor):
-                    pos, neg = signed(1.0 / element.resistance)
-                else:
-                    pos, neg = slot(), slot()
-                    self._switches.append((element, pos, neg))
-                conductance(i, j, pos, neg)
-                pair_current(i, j, i, j, pos, neg)
-            elif isinstance(element, Capacitor):
-                continue  # companion models follow the walk
-            elif isinstance(element, CurrentSource):
-                p, nn = index(element.positive), index(element.negative)
-                if element.waveform is None:
-                    pos, neg = signed(element.dc)
-                else:
-                    pos, neg = slot(), slot()
-                    self._sources.append((element, pos, neg))
-                if p != GROUND:
-                    res(p, zero, GROUND, GROUND, pos)
-                if nn != GROUND:
-                    res(nn, zero, GROUND, GROUND, neg)
-            elif isinstance(element, VoltageSource):
-                p, nn = index(element.positive), index(element.negative)
-                k = layout.branch(element.name)
-                branch(p, nn, k)
-                # resid[k] += (v_p - v_n) - value, read as 1*(v_p-v_n) + -value.
-                if element.waveform is None:
-                    neg = slot(-element.dc)
-                else:
-                    neg = slot()
-                    self._sources.append((element, None, neg))
-                res(k, one, p, nn, neg)
-            elif isinstance(element, Vcvs):
-                op_ = index(element.out_positive)
-                on_ = index(element.out_negative)
-                cp = index(element.ctrl_positive)
-                cn = index(element.ctrl_negative)
-                k = layout.branch(element.name)
-                gain, neg_gain = signed(element.gain)
-                if op_ != GROUND:
-                    jac(op_, k, one)
-                    jac(k, op_, one)
-                if on_ != GROUND:
-                    jac(on_, k, neg_one)
-                    jac(k, on_, neg_one)
-                if cp != GROUND:
-                    jac(k, cp, neg_gain)
-                if cn != GROUND:
-                    jac(k, cn, gain)
-                if op_ != GROUND:
-                    res(op_, one, k, GROUND, zero)
-                if on_ != GROUND:
-                    res(on_, neg_one, k, GROUND, zero)
-                # Branch row k holds nothing else, so the walk's single
-                # (v_op - v_on) - gain*(v_cp - v_cn) splits exactly in two.
-                res(k, one, op_, on_, zero)
-                res(k, neg_gain, cp, cn, zero)
-            elif isinstance(element, Vccs):
-                op_ = index(element.out_positive)
-                on_ = index(element.out_negative)
-                cp = index(element.ctrl_positive)
-                cn = index(element.ctrl_negative)
-                gm, neg_gm = signed(element.gm)
-                for row, pos, neg in ((op_, gm, neg_gm), (on_, neg_gm, gm)):
-                    if row == GROUND:
-                        continue
-                    if cp != GROUND:
-                        jac(row, cp, pos)
-                    if cn != GROUND:
-                        jac(row, cn, neg)
-                pair_current(op_, on_, cp, cn, gm, neg_gm)
-            elif isinstance(element, Inductor):
-                p, nn = index(element.n1), index(element.n2)
-                k = layout.branch(element.name)
-                if method == "trap":
-                    r_eq = 2.0 * element.inductance / dt
-                else:
-                    r_eq = element.inductance / dt
-                branch(p, nn, k)
-                neg_r_eq = slot(-r_eq)
-                jac(k, k, neg_r_eq)
-                # resid[k] += (v_p - v_n) - r_eq*i + rhs, term by term.
-                rhs = slot()
-                res(k, one, p, nn, zero)
-                res(k, neg_r_eq, k, GROUND, zero)
-                res(k, zero, GROUND, GROUND, rhs)
-                self._inductors.append((xi(p), xi(nn), k, r_eq, rhs))
-            elif isinstance(element, Mosfet):
-                base = _MOS_BLOCK * dev_of[element.name]
-                d, g_ = index(element.drain), index(element.gate)
-                s, b = index(element.source), index(element.bulk)
-                if d != GROUND:
-                    res(d, zero, GROUND, GROUND, base + _MOS_IDS)
-                if s != GROUND:
-                    res(s, zero, GROUND, GROUND, base + _MOS_NIDS)
-                for row, kinds in (
-                    (d, (_MOS_GM, _MOS_GDS, _MOS_GMB, _MOS_NGSUM)),
-                    (s, (_MOS_NGM, _MOS_NGDS, _MOS_NGMB, _MOS_GSUM)),
-                ):
-                    if row == GROUND:
-                        continue
-                    for col, kind in zip((g_, d, b, s), kinds):
-                        if col != GROUND:
-                            jac(row, col, base + kind)
-            else:
-                raise AnalysisError(
-                    f"element type {type(element).__name__} not supported in transient"
-                )
-
-        # Capacitor companions: explicit caps + device caps at the t=0 OP.
-        caps: list[tuple[int, int, float]] = []
-        for element in circuit:
-            if isinstance(element, Capacitor):
-                caps.append((index(element.n1), index(element.n2), element.capacitance))
-            elif isinstance(element, Mosfet):
-                op = device_ops[element.name]
-                d, g_ = index(element.drain), index(element.gate)
-                s, b = index(element.source), index(element.bulk)
-                for i, j, c in (
-                    (g_, s, op.cgs),
-                    (g_, d, op.cgd),
-                    (g_, b, op.cgb),
-                    (d, b, op.cdb),
-                    (s, b, op.csb),
-                ):
-                    if c > 0.0:
-                        caps.append((i, j, c))
-        cap_g = [2.0 * c / dt if method == "trap" else c / dt for _, _, c in caps]
-        cap_ieq: list[int] = []
-        cap_neg_ieq: list[int] = []
-        for (i, j, _), g_eq in zip(caps, cap_g):
-            pos, neg = signed(g_eq)
-            ieq, neg_ieq = slot(), slot()
-            cap_ieq.append(ieq)
-            cap_neg_ieq.append(neg_ieq)
-            conductance(i, j, pos, neg)
-            pair_current(i, j, i, j, pos, neg, ieq, neg_ieq)
-
-        intp = np.intp
-        self._mos_args = [
-            (e.params, e.w, e.l, e.mult)
-            + tuple(xi(index(net)) for net in (e.drain, e.gate, e.source, e.bulk))
-            for e in mosfets
-        ]
-        self._n_mos_slots = _MOS_BLOCK * len(mosfets)
-        self._values = np.array(values, dtype=float)
-        self._j_flat = np.asarray(j_rows, dtype=intp) * n + np.asarray(j_cols, dtype=intp)
-        self._j_src = np.asarray(j_src, dtype=intp)
-        self._r_rows = np.asarray(r_rows, dtype=intp)
-        self._r_coef_src = np.asarray(r_coef, dtype=intp)
-        self._r_a = np.asarray(r_a, dtype=intp)
-        self._r_b = np.asarray(r_b, dtype=intp)
-        self._r_off = np.asarray(r_off, dtype=intp)
-        self._r_coef = self._values[self._r_coef_src]
-        self._cap_a = np.asarray([xi(i) for i, _, _ in caps], dtype=intp)
-        self._cap_b = np.asarray([xi(j) for _, j, _ in caps], dtype=intp)
-        self._cap_g = np.asarray(cap_g, dtype=float)
-        self._cap_neg_g = -self._cap_g
-        self._cap_ieq = np.asarray(cap_ieq, dtype=intp)
-        self._cap_neg_ieq = np.asarray(cap_neg_ieq, dtype=intp)
-        #: Companion history: current through each cap at the last step.
-        self._cap_current = np.zeros(len(caps))
-        self._dv_old = np.zeros(len(caps))
-        #: Previous-step voltage across each inductor (trapezoidal history).
-        self._ind_prev_v = [0.0] * len(self._inductors)
-        self._xe = np.zeros(n + 1)
-        #: Newton systems assembled so far (the per-call iteration count).
-        self.assemblies = 0
-
-    def begin_step(self, t: float, x_prev: np.ndarray) -> None:
-        """Refresh the per-timestep slots for the step ending at ``t``."""
-        values = self._values
-        for element, pos, neg in self._switches:
-            g = 1.0 / element.resistance_at(t)
-            values[pos] = g
-            values[neg] = -g
-        if self._switches:
-            self._r_coef = values[self._r_coef_src]
-        for element, pos, neg in self._sources:
-            value = element.value_at(t)
-            if pos is not None:
-                values[pos] = value
-            values[neg] = -value
-        for k_ind, (_, _, k, r_eq, rhs) in enumerate(self._inductors):
-            i_prev = x_prev[k]
-            if self.method == "trap":
-                values[rhs] = r_eq * i_prev + self._ind_prev_v[k_ind]
-            else:
-                values[rhs] = r_eq * i_prev
-        xe = self._xe
-        xe[: self.size] = x_prev
-        dv_old = xe[self._cap_a] - xe[self._cap_b]
-        i_eq = self._cap_neg_g * dv_old
-        if self.method == "trap":
-            i_eq = i_eq - self._cap_current
-        values[self._cap_ieq] = i_eq
-        values[self._cap_neg_ieq] = -i_eq
-        self._dv_old = dv_old
-
-    def end_step(self, x: np.ndarray) -> None:
-        """Advance the companion histories to the accepted solution ``x``."""
-        xe = self._xe
-        xe[: self.size] = x
-        dv_new = xe[self._cap_a] - xe[self._cap_b]
-        current = self._cap_g * (dv_new - self._dv_old)
-        if self.method == "trap":
-            current = current - self._cap_current
-        self._cap_current = current
-        for k_ind, (p, nn, _, _, _) in enumerate(self._inductors):
-            self._ind_prev_v[k_ind] = float(xe[p]) - float(xe[nn])
-
-    def assemble(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Newton system at ``x``: (jacobian, residual)."""
-        self.assemblies += 1
-        n = self.size
-        xe = self._xe
-        xe[:n] = x
-        values = self._values
-        if self._mos_args:
-            xl = xe.tolist()
-            block: list[float] = []
-            for params, w, l, mult, d, g_, s, b in self._mos_args:
-                xs = xl[s]
-                ids, gm, gds, gmb = dc_current(
-                    params, w, l, xl[g_] - xs, xl[d] - xs, xl[b] - xs
-                )
-                ids *= mult
-                gm *= mult
-                gds *= mult
-                gmb *= mult
-                gsum = gm + gds + gmb
-                block += (ids, -ids, gm, gds, gmb, -gsum, -gm, -gds, -gmb, gsum)
-            values[: self._n_mos_slots] = block
-        jac = np.bincount(
-            self._j_flat, values[self._j_src], minlength=n * n
-        ).reshape(n, n)
-        currents = self._r_coef * (xe[self._r_a] - xe[self._r_b]) + values[self._r_off]
-        resid = np.bincount(self._r_rows, currents, minlength=n)
-        return jac, resid
-
-
-# ---------------------------------------------------------------------------
-# Template cache + cross-process persistence.
+# Template cache.
 # ---------------------------------------------------------------------------
 
 #: topology_key -> MnaTemplate, bounded like the layout cache.
 _TEMPLATE_CACHE: dict[tuple, MnaTemplate] = {}
 _TEMPLATE_CACHE_MAX = 128
 
-#: Compile / persistence counters: ``compiled`` counts fresh
-#: ``MnaTemplate`` constructions in this process, ``store_hits`` templates
-#: loaded from a :class:`TemplateStore`, ``store_misses`` store lookups
-#: that fell through to a compile.  Benchmarks reset and read these to
-#: prove that warm reruns stop recompiling.
+#: ``compiled`` counts fresh ``MnaTemplate`` constructions in this process.
 #: Stored in the process-global metrics registry (``template.*`` counters,
 #: see :mod:`repro.obs`); this view keeps the historical dict API.
-TEMPLATE_STATS = CounterView(
-    REGISTRY, "template", ("compiled", "store_hits", "store_misses")
-)
+TEMPLATE_STATS = CounterView(REGISTRY, "template", ("compiled",))
 
 
 def reset_template_stats() -> None:
@@ -1254,108 +954,32 @@ def reset_template_stats() -> None:
         TEMPLATE_STATS[key] = 0
 
 
-def _key_digest(key: tuple) -> str:
-    """Stable content address of a topology key (filesystem-safe)."""
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-class TemplateStore:
-    """Content-addressed on-disk store of compiled stamp templates.
-
-    Templates are pure data after the opcode refactor, so they pickle; the
-    store keys them by a digest of the circuit topology key.  Writes are
-    atomic (tempfile + rename), reads degrade to a miss on any corruption
-    — a damaged entry costs one recompile, never an error.  The persistent
-    block cache exposes one of these under ``<cache_dir>/templates`` so
-    process-pool and queue workers share compiled programs across jobs.
-    """
-
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = Path(directory)
-
-    def _path(self, key: tuple) -> Path:
-        return self.directory / f"{_key_digest(key)}.tmpl.pkl"
-
-    def load(self, key: tuple) -> MnaTemplate | None:
-        """The stored template for ``key``, or ``None`` on miss/corruption."""
-        try:
-            with open(self._path(key), "rb") as handle:
-                template = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ValueError, ImportError):
-            try:
-                os.unlink(self._path(key))
-            except OSError:
-                pass
-            return None
-        if getattr(template, "key", None) != key:
-            return None
-        return template
-
-    def save(self, template: MnaTemplate) -> None:
-        """Persist ``template`` atomically; best-effort (I/O errors ignored)."""
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(template, protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmpl-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp, self._path(template.key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass
-
-
-def template_for(circuit: Circuit, store: TemplateStore | None = None) -> MnaTemplate:
-    """The compiled stamp template of ``circuit``'s topology (cached).
-
-    Lookup order: in-process cache, then ``store`` (when given), then a
-    fresh compile — which is written back to ``store`` so the next process
-    skips it.
-    """
+def template_for(circuit: Circuit) -> MnaTemplate:
+    """The compiled stamp template of ``circuit``'s topology (cached)."""
     key = circuit.topology_key()
     cached = _TEMPLATE_CACHE.get(key)
     if cached is None:
         if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
             _TEMPLATE_CACHE.clear()
-        if store is not None:
-            cached = store.load(key)
-            if cached is not None:
-                TEMPLATE_STATS["store_hits"] += 1
-            else:
-                TEMPLATE_STATS["store_misses"] += 1
-        if cached is None:
-            cached = MnaTemplate(circuit)
-            TEMPLATE_STATS["compiled"] += 1
-            if store is not None:
-                store.save(cached)
+        cached = MnaTemplate(circuit)
+        TEMPLATE_STATS["compiled"] += 1
         _TEMPLATE_CACHE[key] = cached
     return cached
 
 
-def bind_template(circuit: Circuit, store: TemplateStore | None = None) -> BoundMna:
+def bind_template(circuit: Circuit) -> BoundMna:
     """Compile (cached) and bind the template for ``circuit`` in one step."""
-    return template_for(circuit, store=store).bind(circuit)
+    return template_for(circuit).bind(circuit)
 
 
 __all__ = [
     "BoundMna",
+    "DcProgram",
     "MnaTemplate",
-    "TemplateStore",
+    "NewtonProgram",
     "TEMPLATE_STATS",
     "TransientProgram",
     "bind_template",
-    "newton_solve",
     "reset_template_stats",
     "template_for",
 ]

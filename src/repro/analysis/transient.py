@@ -11,7 +11,8 @@ exactly at every Newton iteration, so slewing — the large-swing effect the
 paper singles out for simulation — is captured.
 
 Each call compiles the circuit into a
-:class:`~repro.analysis.template.TransientProgram`: the stamp walk is
+:class:`~repro.analysis.template.TransientProgram`, the simulator's one
+Newton-stamp walk with per-step slots and capacitor companions: the walk is
 recorded once, and every Newton iteration is one scalar model call per
 MOSFET, one vectorized residual program, two order-preserving scatters
 and one solve.  The results equal the per-element walk kept in
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.analysis.dc import DcSolution, solve_dc
+from repro.analysis.dc import DcSolution, newton_solve, solve_dc
 from repro.analysis.mna import GROUND, layout_for
-from repro.analysis.template import TransientProgram, bind_template, newton_solve
+from repro.analysis.template import TransientProgram
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError
@@ -84,8 +85,7 @@ class TransientResult:
 def _initial_dc(circuit: Circuit) -> DcSolution:
     """DC solution at t=0 with waveform sources frozen at their t=0 values.
 
-    Solved on the compiled DC assembler; switches bind at
-    ``resistance_at(0.0)``, their t=0 state.
+    Switches conduct at ``resistance_at(0.0)``, their t=0 state.
     """
     frozen = Circuit(circuit.name + "_t0")
     for element in circuit:
@@ -93,7 +93,7 @@ def _initial_dc(circuit: Circuit) -> DcSolution:
             frozen.add(dataclasses.replace(element, dc=element.value_at(0.0), waveform=None))
         else:
             frozen.add(element)
-    return solve_dc(frozen, assembly=bind_template(frozen))
+    return solve_dc(frozen)
 
 
 def simulate_transient(

@@ -129,12 +129,6 @@ class SynthesisJob:
     donor: SynthesisResult | None = None
     retarget_budget: int = 80
     retarget_seed: int = 7
-    #: On-disk compiled-template store directory (see
-    #: :class:`repro.analysis.template.TemplateStore`) so pool/queue
-    #: workers load stamp programs instead of recompiling them.  A pure
-    #: performance knob: results (and therefore block fingerprints) are
-    #: identical with or without it, so :meth:`queue_payload` excludes it.
-    template_dir: str | None = None
 
     def queue_payload(self) -> dict[str, Any]:
         """Stable identity for the work-queue/broker ack files.
@@ -171,7 +165,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.budget,
                 seed=job.seed,
                 verify_transient=job.verify_transient,
-                template_store=job.template_dir,
             )
         else:
             result = retarget_mdac(
@@ -181,7 +174,6 @@ def run_synthesis_job(job: SynthesisJob) -> SynthesisResult:
                 budget=job.retarget_budget,
                 seed=job.retarget_seed,
                 verify_transient=job.verify_transient,
-                template_store=job.template_dir,
             )
     metrics.observe(
         "scheduler.job_seconds" if job.donor is None else "scheduler.retarget_seconds",
@@ -326,7 +318,6 @@ def execute_plan(
             budget=cache.budget,
             seed=cache.seed,
             verify_transient=cache.verify_transient,
-            template_dir=getattr(cache, "template_dir", None),
         )
 
     def run_wave(wave: Sequence[int]) -> None:
@@ -391,7 +382,6 @@ def execute_plan(
                     donor=donor,
                     retarget_budget=cache.retarget_budget,
                     retarget_seed=cache.retarget_seed,
-                    template_dir=getattr(cache, "template_dir", None),
                 )
             )
         if jobs:

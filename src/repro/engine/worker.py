@@ -4,9 +4,7 @@ A worker is the other half of the :class:`~repro.engine.broker.Broker`
 fabric: :class:`~repro.engine.broker.BrokerBackend` publishes task
 envelopes; any number of ``WorkerLoop`` processes — on any host that can
 reach the broker — lease them, run them through the same importable task
-functions the local backends use (``run_synthesis_job`` resolves the
-persisted ``TemplateStore`` exactly as a local run would), and ack pickled
-results back.  Fleet size is pure deployment: determinism lives in the
+functions the local backends use, and ack pickled results back.  Fleet size is pure deployment: determinism lives in the
 tasks and the order-preserving assembly, so 1 worker and N workers produce
 byte-identical stores.
 

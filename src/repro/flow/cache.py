@@ -19,7 +19,6 @@ Two cache tiers are provided:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.engine.persist import load_result, store_result
@@ -133,16 +132,6 @@ class BlockCache:
         """Write-through hook; the in-memory cache drops it."""
 
     @property
-    def template_dir(self) -> str | None:
-        """Directory for persisted compiled stamp templates (None = off).
-
-        The in-memory cache has no disk layer, so compiled templates stay
-        in-process; the persistent cache parks them next to the block
-        results so pool/queue workers skip recompilation.
-        """
-        return None
-
-    @property
     def unique_blocks(self) -> int:
         """Number of distinct MDAC specs synthesized so far."""
         return len(self.results)
@@ -170,13 +159,6 @@ class PersistentBlockCache(BlockCache):
     def __post_init__(self) -> None:
         if self.cache_dir is None:
             raise SpecificationError("PersistentBlockCache requires cache_dir")
-
-    @property
-    def template_dir(self) -> str | None:
-        """Compiled stamp templates live under ``<cache_dir>/templates``."""
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir, "templates")
 
     def load_persistent(
         self, fingerprint: str, spec: MdacSpec | None = None

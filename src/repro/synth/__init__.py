@@ -10,7 +10,7 @@ package reproduces that flow end to end:
   small-signal extraction, numerical transfer function for gain/GBW/phase
   margin (fast equations), and full nonlinear transient settling for the
   large-swing behaviour (trustworthy simulation);
-* :mod:`repro.synth.anneal` / :mod:`repro.synth.de` — global optimizers;
+* :mod:`repro.synth.anneal` — the global optimizer;
 * :mod:`repro.synth.synthesis` — the per-block synthesis driver;
 * :mod:`repro.synth.retarget` — warm-started re-synthesis to new specs,
   reproducing the paper's "2-3 weeks first, 1 day for retargets" economy.
@@ -19,7 +19,6 @@ package reproduces that flow end to end:
 from repro.synth.space import DesignSpace, DesignVariable, two_stage_space
 from repro.synth.evaluator import EvalResult, HybridEvaluator
 from repro.synth.anneal import anneal
-from repro.synth.de import differential_evolution
 from repro.synth.result import SynthesisResult
 from repro.synth.synthesis import synthesize_mdac
 from repro.synth.retarget import retarget_mdac
@@ -31,7 +30,6 @@ __all__ = [
     "HybridEvaluator",
     "EvalResult",
     "anneal",
-    "differential_evolution",
     "SynthesisResult",
     "synthesize_mdac",
     "retarget_mdac",

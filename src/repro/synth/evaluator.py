@@ -17,12 +17,12 @@ and reserves the transient for verification — the hybrid the paper argues
 for.  Benchmarks quantify the trade (bench_ablation_evaluator).
 
 The equation half compiles the testbench topology once into a parametric
-MNA stamp template (:mod:`repro.analysis.template`): the DC Newton
-iterations assemble through vectorized scatters, and the whole AC sweep
-(DC-gain point + loop grid) solves as a single batched
-``np.linalg.solve`` stack.  The seed's per-element walk survives only as a
-test oracle (``tests/oracles/evaluator.py``) that this path must match bit
-for bit.
+MNA stamp template (:mod:`repro.analysis.template`), rebound per
+candidate: the DC Newton iterations run its compiled stamp program, and
+the whole AC sweep (DC-gain point + loop grid) solves as a single batched
+``np.linalg.solve`` stack.  The per-element walks survive only as test
+oracles (``tests/oracles/dc.py``, ``tests/oracles/evaluator.py``) that
+this path must match bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.analysis.dc import DcSolution, solve_dc
 from repro.analysis.smallsignal import LinearizedCircuit
 # Not called here: kept so perfbench/layers.py can wrap evaluator.linearize.
 from repro.analysis.smallsignal import linearize  # noqa: F401
-from repro.analysis.template import TemplateStore, bind_template
+from repro.analysis.template import bind_template
 from repro.analysis.transient import simulate_transient
 from repro.blocks.mdac import MdacNetwork, build_settling_bench
 from repro.blocks.opamp import TwoStageSizing
@@ -137,21 +137,12 @@ class HybridEvaluator:
         tech: Technology,
         common_mode: float | None = None,
         transient_points: int = 500,
-        template_store: TemplateStore | str | None = None,
     ):
         self.mdac = mdac
         self.tech = tech
         self.network = MdacNetwork.from_spec(mdac)
         self.common_mode = common_mode if common_mode is not None else 0.45 * tech.vdd
         self.transient_points = transient_points
-        #: Optional on-disk store of compiled stamp templates — workers
-        #: point this at ``<cache_dir>/templates`` so they load compiled
-        #: programs instead of recompiling per job.
-        self.template_store = (
-            TemplateStore(template_store)
-            if isinstance(template_store, (str, bytes)) or hasattr(template_store, "__fspath__")
-            else template_store
-        )
         self._warm_x: np.ndarray | None = None
         #: Counters for the ablation benchmarks.
         self.equation_evals = 0
@@ -171,7 +162,7 @@ class HybridEvaluator:
         bound = self._bound
         if bound is not None and bound.template.key == bench.topology_key():
             return bound.rebind(bench)
-        bound = bind_template(bench, store=self.template_store)
+        bound = bind_template(bench)
         self._bound = bound
         return bound
 
@@ -239,7 +230,7 @@ class HybridEvaluator:
         bench = self._ac_bench(sizing)
         bound = self._bind(bench)
         try:
-            op = self._solve_dc(bench, assembly=bound)
+            op = self._solve_dc(bench, assembly=bound.dc)
         except (ConvergenceError, ReproError):
             staged.failed = True
             return staged

@@ -13,10 +13,9 @@ import time
 
 import numpy as np
 
-from repro.errors import SynthesisError
+from repro import obs
 from repro.specs.stage import MdacSpec
 from repro.synth.anneal import anneal
-from repro.synth.de import differential_evolution
 from repro.synth.evaluator import HybridEvaluator
 from repro.synth.patternsearch import pattern_search
 from repro.synth.result import SynthesisResult
@@ -34,47 +33,23 @@ def synthesize_mdac(
     tech: Technology,
     budget: int = 400,
     seed: int = 1,
-    optimizer: str = "anneal",
     x0: np.ndarray | None = None,
     verify_transient: bool = True,
     retargeted: bool = False,
-    template_store: str | None = None,
 ) -> SynthesisResult:
     """Synthesize one MDAC opamp; returns the verified result.
 
-    ``optimizer`` is ``"anneal"`` (default, NeoCircuit-style) or ``"de"``.
-    ``x0`` (unit coordinates) warm-starts the search — used by retargeting.
-
-    ``template_store`` points at an on-disk compiled-template store
-    (:class:`~repro.analysis.template.TemplateStore` directory) so worker
-    processes load the stamp program instead of recompiling it — a pure
-    performance choice: results are bit-identical with or without it.
+    The global search is the NeoCircuit-style annealer.  ``x0`` (unit
+    coordinates) warm-starts it — used by retargeting.
     """
     start = time.perf_counter()
     space = two_stage_space(mdac, tech)
-    evaluator = HybridEvaluator(mdac, tech, template_store=template_store)
+    evaluator = HybridEvaluator(mdac, tech)
 
     def cost_fn(u: np.ndarray) -> float:
         return evaluator.evaluate(space.decode(u)).cost()
 
-    if optimizer == "anneal":
-        run = anneal(
-            cost_fn,
-            space.dimension,
-            budget=budget,
-            seed=seed,
-            x0=x0,
-        )
-    elif optimizer == "de":
-        run = differential_evolution(
-            cost_fn,
-            space.dimension,
-            budget=budget,
-            seed=seed,
-            x0=x0,
-        )
-    else:
-        raise SynthesisError(f"unknown optimizer {optimizer!r}")
+    run = anneal(cost_fn, space.dimension, budget=budget, seed=seed, x0=x0)
 
     # Local polish: a short pattern search closes the last few percent of
     # constraint margin the annealer leaves behind.
@@ -94,6 +69,7 @@ def synthesize_mdac(
         and repairs < _MAX_REPAIRS
     ):
         repairs += 1
+        obs.counter("synth.repairs")
         sizing = dataclasses.replace(
             sizing,
             i_tail=sizing.i_tail * _REPAIR_FACTOR,

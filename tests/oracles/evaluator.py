@@ -15,6 +15,7 @@ from repro.synth.evaluator import (
     _StagedEvaluation,
 )
 from tests.oracles.ac import ac_response_loop
+from tests.oracles.dc import DcWalk
 
 
 class LegacyEvaluator(HybridEvaluator):
@@ -45,7 +46,7 @@ class LegacyEvaluator(HybridEvaluator):
         staged = _StagedEvaluation(sizing=sizing)
         bench = self._ac_bench(sizing)
         try:
-            op = self._solve_dc(bench)
+            op = self._solve_dc(bench, assembly=DcWalk(bench))
         except (ConvergenceError, ReproError):
             staged.failed = True
             return staged

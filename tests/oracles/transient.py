@@ -5,7 +5,7 @@ residual element by element with scalar ``+=`` stamps, then appends the
 capacitor companions.  :func:`repro.analysis.transient.simulate_transient`
 replays the same emission order through a compiled stamp program and must
 match this walk bit for bit.  The initial operating point goes through
-the per-element DC walk (``solve_dc`` without an assembly).
+the per-element DC walk (:class:`tests.oracles.dc.DcWalk`).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.circuit.elements import (
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, ConvergenceError
 from repro.tech.mosfet import dc_current
+from tests.oracles.dc import DcWalk
 
 _MAX_NEWTON = 60
 _ABS_TOL = 1e-9
@@ -52,7 +53,7 @@ def _initial_dc(circuit: Circuit) -> tuple[Circuit, DcSolution]:
             frozen.add(dataclasses.replace(element, dc=element.value_at(0.0), waveform=None))
         else:
             frozen.add(element)
-    return frozen, solve_dc(frozen)
+    return frozen, solve_dc(frozen, assembly=DcWalk(frozen))
 
 
 def simulate_transient_walk(

@@ -10,8 +10,7 @@ the budget and the cube; the reported best is a point that was evaluated.
 import numpy as np
 import pytest
 
-from repro.errors import SynthesisError
-from repro.synth import anneal, differential_evolution
+from repro.synth import anneal
 from repro.synth.patternsearch import pattern_search
 
 DIMENSION = 5
@@ -36,18 +35,13 @@ def _run(name: str, cost_fn, seed: int = 2, budget: int = 96, x0=None):
     """Run one optimizer; returns ``(best_x, best_cost, evaluations)``."""
     if name == "anneal":
         result = anneal(cost_fn, DIMENSION, budget=budget, seed=seed, x0=x0)
-    elif name == "de":
-        result = differential_evolution(
-            cost_fn, DIMENSION, budget=budget, seed=seed, population=8, x0=x0
-        )
-    else:
-        start = np.full(DIMENSION, 0.5) if x0 is None else x0
-        return pattern_search(cost_fn, start, budget=budget)
-    return result.best_x, result.best_cost, result.evaluations
+        return result.best_x, result.best_cost, result.evaluations
+    start = np.full(DIMENSION, 0.5) if x0 is None else x0
+    return pattern_search(cost_fn, start, budget=budget)
 
 
-SEEDED = ["anneal", "de"]
-ALL = ["anneal", "de", "pattern_search"]
+SEEDED = ["anneal"]
+ALL = ["anneal", "pattern_search"]
 
 
 class TestCallSequence:
@@ -97,12 +91,6 @@ class TestBudgetAccounting:
         assert evaluations == len(recorder.points)
         assert evaluations <= 40
 
-    def test_de_rejects_a_budget_below_two_generations(self):
-        with pytest.raises(SynthesisError):
-            differential_evolution(
-                shifted_sphere, DIMENSION, budget=15, population=8
-            )
-
 
 class TestReportedBest:
     @pytest.mark.parametrize("name", ALL)
@@ -116,13 +104,7 @@ class TestReportedBest:
 
     @pytest.mark.parametrize("name", SEEDED)
     def test_history_is_the_running_best(self, name):
-        cost_fn = Recorder()
-        if name == "anneal":
-            result = anneal(cost_fn, DIMENSION, budget=96, seed=2)
-        else:
-            result = differential_evolution(
-                cost_fn, DIMENSION, budget=96, seed=2, population=8
-            )
+        result = anneal(Recorder(), DIMENSION, budget=96, seed=2)
         history = result.history
         assert len(history) == result.evaluations
         assert all(b <= a for a, b in zip(history, history[1:]))

@@ -11,13 +11,14 @@ and that evaluators for different corners never share it.
 import numpy as np
 import pytest
 
-from repro.analysis.dc import _ABS_TOL, _assemble, solve_dc
+from repro.analysis.dc import _ABS_TOL, solve_dc
 from repro.analysis.mna import layout_for
 from repro.enumeration.candidates import PipelineCandidate
 from repro.errors import ReproError
 from repro.specs import AdcSpec, plan_stages
 from repro.synth import HybridEvaluator, two_stage_space
 from repro.tech import CMOS025, CMOS025_SLOW
+from tests.oracles.dc import assemble_walk
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +107,12 @@ class TestAcceptedSolutions:
         for sizing in _sizings(mdac, 10, seed=seed):
             bench = evaluator._ac_bench(sizing)
             try:
-                op = evaluator._solve_dc(bench, assembly=evaluator._bind(bench))
+                op = evaluator._solve_dc(bench, assembly=evaluator._bind(bench).dc)
             except ReproError:
                 continue
             # Residual against the legacy per-element assembly, not the
             # compiled template that produced the solution.
-            _, resid = _assemble(layout_for(bench), op.x, 0.0, 1.0)
+            _, resid = assemble_walk(layout_for(bench), op.x, 0.0, 1.0)
             assert float(np.max(np.abs(resid))) < _ABS_TOL
             assert np.array_equal(evaluator._warm_x, op.x)
             checked += 1
@@ -124,7 +125,7 @@ class TestAcceptedSolutions:
         for sizing in _sizings(mdac, 12, seed=6):
             bench = evaluator._ac_bench(sizing)
             try:
-                op = evaluator._solve_dc(bench, assembly=evaluator._bind(bench))
+                op = evaluator._solve_dc(bench, assembly=evaluator._bind(bench).dc)
             except ReproError:
                 continue
             assert 0.15 * vdd < op.voltages["out"] < 0.85 * vdd
