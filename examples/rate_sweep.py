@@ -10,13 +10,15 @@ amplifies the feedback-factor penalty of aggressive front stages.
 Run with::
 
     python examples/rate_sweep.py
-    python examples/rate_sweep.py --backend process   # pooled evaluation
+    python examples/rate_sweep.py --backend process
     python examples/rate_sweep.py --backend thread
 
 The ``--backend`` choice rides on the same :class:`repro.FlowConfig` every
 flow entry point takes; the campaign shares the chosen backend across the
 whole sweep (one pool, not one per rate point) and serial/thread/process
-produce identical tables.
+produce identical tables.  This sweep is analytic, which evaluates its
+candidates inline on every backend; the backend only dispatches work once
+a grid synthesizes blocks.
 """
 
 import argparse

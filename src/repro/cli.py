@@ -7,7 +7,7 @@ Examples::
     repro-adc fig1                # analytic stage powers, 13-bit
     repro-adc fig1 --synthesis    # transistor-level synthesis (slower)
     repro-adc fig2
-    repro-adc fig3 --backend process
+    repro-adc fig3
     repro-adc runtime
     repro-adc explore --bits 12
     repro-adc campaign --bits 10-13 --rates 20,40,60 --out campaign-out
@@ -25,7 +25,9 @@ Examples::
 Every flow command accepts the execution-engine flags (``--backend``,
 ``--workers``, ``--cache-dir``, ``--budget``, ``--retarget-budget``,
 ``--no-verify``); they assemble the :class:`~repro.engine.config.FlowConfig`
-threaded through every entry point.  Specification and service errors exit
+threaded through every entry point.  The flow commands default to
+``--backend process``; ``FlowConfig`` itself (the Python API and the
+service) defaults to ``serial``.  Specification and service errors exit
 with a single-line ``repro-adc: error: ...`` message (status 2), never a
 traceback.
 """
@@ -74,8 +76,14 @@ DEFAULT_SERVICE_URL = os.environ.get("REPRO_ADC_SERVICE", "http://127.0.0.1:8765
 EPILOG = """\
 execution engine (every flow command):
   --backend {serial,thread,process,queue,broker} maps the flow's fan-out points
-  (candidate evaluation, synthesis waves, resolution sweeps) over the
-  chosen executor; --workers bounds the pool.  --cache-dir enables the
+  (synthesis waves, the fig3 resolution sweep) over the chosen executor;
+  --workers bounds the pool (default: the CPUs this process may use).
+  The default is process: independent blocks of a synthesis wave size on
+  forked workers, while one-task waves, analytic screening, behavioral
+  verification and cache-warm reruns stay in this process, and a single
+  CPU (or --workers 1) runs everything inline.  The Python API
+  (FlowConfig) and the service default to serial instead: they run
+  inside multi-threaded hosts, where forking is unsafe.  --cache-dir enables the
   content-fingerprinted persistent block cache (default: the
   REPRO_ADC_CACHE environment variable), so warm reruns skip synthesis.
   --budget / --retarget-budget set the cold and warm-start annealer
@@ -155,11 +163,16 @@ def _engine_parent() -> argparse.ArgumentParser:
     group.add_argument(
         "--backend",
         choices=sorted(BACKENDS),
-        default="serial",
-        help="execution backend for candidate/sweep/synthesis fan-out",
+        default="process",
+        help="execution backend for synthesis waves and sweeps (default "
+        "process: one forked worker per usable CPU; one CPU or --workers 1 "
+        "runs inline; the Python API and the service default to serial)",
     )
     group.add_argument(
-        "--workers", type=int, default=None, help="pool worker count (default: CPUs)"
+        "--workers",
+        type=int,
+        default=None,
+        help="pool worker count (default: the CPUs this process may use)",
     )
     group.add_argument(
         "--cache-dir",

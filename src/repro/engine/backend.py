@@ -1,12 +1,13 @@
 """Pluggable execution backends for the flow's embarrassingly parallel loops.
 
-The flow has three fan-out points — per-candidate analytic evaluation,
-per-wave block synthesis, and the per-resolution designer-rule sweep — and
-all of them funnel through one tiny contract: ``map`` an importable function
-over a list of picklable tasks, preserving order.  ``SerialBackend`` runs
-in-process (the default, and the reference for determinism checks);
+The flow has two fan-out points — per-wave block synthesis and the
+per-resolution designer-rule sweep — and both funnel through one tiny
+contract: ``map`` an importable function over a list of picklable tasks,
+preserving order.  ``SerialBackend`` runs in-process (the library and
+service default, and the reference for determinism checks);
 ``ProcessPoolBackend`` dispatches to a :class:`concurrent.futures`
-process pool so independent tasks use every core.
+process pool so independent tasks use every core (the ``repro-adc`` flow
+commands' default).
 
 Backends are deliberately dumb: all scheduling intelligence (deduplication,
 donor ordering, wave construction) lives in :mod:`repro.engine.scheduler`,
@@ -18,6 +19,8 @@ serial results bit-for-bit.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import (
     Any,
@@ -29,8 +32,10 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.engine.threads import pin_blas_threads
+from repro.engine.threads import available_cpus, pin_blas_threads
 from repro.errors import SpecificationError
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import TRACER, current_context
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -38,6 +43,48 @@ R = TypeVar("R")
 #: Tasks handed to each process-pool worker per dispatch.  Synthesis tasks
 #: run for seconds, so batching dispatches would only unbalance the pool.
 _CHUNKSIZE = 1
+
+
+#: Seconds between a pool worker's checks that its parent is still alive.
+_PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Watchdog loop: end this worker once ``parent`` is gone."""
+    while True:
+        time.sleep(_PARENT_POLL_S)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
+def _init_pool_worker() -> None:
+    """Process-pool worker initializer: pin BLAS, start an empty registry.
+
+    A fork-started worker inherits the parent's :data:`REGISTRY`, and it
+    spools *cumulative* snapshots that the campaign runner adds to the
+    parent's own counters; without the reset everything the parent counted
+    before the fork would be counted once more per worker.  The inherited
+    telemetry mode stays as it is.
+
+    An idle worker blocks on its call queue forever, so a campaign killed
+    by a signal (``SIGTERM`` runs no cleanup) would leave its workers
+    behind; a daemon thread ends the worker when its parent changes.
+    """
+    pin_blas_threads()
+    REGISTRY.reset()
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(os.getppid(),),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
+
+
+def _call_in_context(call: tuple[Callable[[T], R], dict | None, T]) -> R:
+    """Pool-side trampoline: run one task under its dispatcher's span."""
+    fn, context, task = call
+    with TRACER.adopted(context):
+        return fn(task)
 
 
 @runtime_checkable
@@ -89,10 +136,10 @@ class _PooledBackend:
     executor_cls: type
 
     def __init__(self, max_workers: int | None = None):
-        """``max_workers=None`` means one worker per CPU."""
+        """``max_workers=None`` means one worker per CPU this process may use."""
         if max_workers is not None and max_workers < 1:
             raise SpecificationError("max_workers must be >= 1")
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers or available_cpus()
         self._executor = None
 
     def _pool(self):
@@ -104,7 +151,7 @@ class _PooledBackend:
             pin_blas_threads()
             kwargs: dict[str, Any] = {"max_workers": self.max_workers}
             if issubclass(self.executor_cls, ProcessPoolExecutor):
-                kwargs["initializer"] = pin_blas_threads
+                kwargs["initializer"] = _init_pool_worker
             self._executor = self.executor_cls(**kwargs)
         return self._executor
 
@@ -113,7 +160,9 @@ class _PooledBackend:
         task_list: Sequence[T] = list(tasks)
         if len(task_list) <= 1 or self.max_workers == 1:
             return [fn(task) for task in task_list]
-        return list(self._pool().map(fn, task_list, chunksize=_CHUNKSIZE))
+        context = current_context()
+        calls = [(fn, context, task) for task in task_list]
+        return list(self._pool().map(_call_in_context, calls, chunksize=_CHUNKSIZE))
 
     def close(self) -> None:
         """Shut the pool down; idempotent."""

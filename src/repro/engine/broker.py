@@ -48,9 +48,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Protocol, TypeVar, runtime_checkable
 
 from repro.engine.persist import atomic_write_bytes, digest
-from repro.engine.threads import pin_blas_threads
+from repro.engine.threads import available_cpus, pin_blas_threads
 from repro.errors import ServiceError, SpecificationError
 from repro.obs import metrics
+from repro.obs.trace import TRACER, current_context
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -914,7 +915,7 @@ class BrokerBackend:
                 )
         self.broker = broker
         #: Executor threads for ``queue`` (remote workers execute ``broker``).
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers or available_cpus()
         self.poll_interval = poll_interval
         #: Give up if nothing moves — no ack, no failure, no *live* lease,
         #: no local execution — for this many seconds.
@@ -986,9 +987,15 @@ class BrokerBackend:
                 # them to one solver thread each (user settings win).
                 pin_blas_threads()
                 self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-            outcomes = list(
-                self._executor.map(lambda kt: self._execute(fn, *kt), work)
-            )
+            context = current_context()
+
+            def run(item: tuple[str, T]) -> Any:
+                # Executor threads start with no open span: parent the
+                # task's spans to the one dispatching it.
+                with TRACER.adopted(context):
+                    return self._execute(fn, *item)
+
+            outcomes = list(self._executor.map(run, work))
         return {
             key: value
             for (key, _), value in zip(work, outcomes)

@@ -53,4 +53,24 @@ def effective_blas_threads() -> dict[str, str | None]:
     return {var: os.environ.get(var) for var in THREAD_ENV_VARS}
 
 
-__all__ = ["THREAD_ENV_VARS", "effective_blas_threads", "pin_blas_threads"]
+def available_cpus() -> int:
+    """CPUs this process may run on: the default pool size.
+
+    The scheduler affinity mask, not ``os.cpu_count()``: a container
+    pinned to 2 of a host's 64 CPUs must not size a pool for 64 (a
+    fork-started ``ProcessPoolExecutor`` launches every worker at its
+    first ``map``).  Falls back to ``os.cpu_count()`` where the platform
+    has no affinity call.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+__all__ = [
+    "THREAD_ENV_VARS",
+    "available_cpus",
+    "effective_blas_threads",
+    "pin_blas_threads",
+]

@@ -1,13 +1,13 @@
 """Topology optimization: enumerate -> translate -> evaluate -> rank.
 
-Every evaluation path now runs through the execution engine
-(:mod:`repro.engine`): analytic screening fans candidates out over the
-configured backend, and synthesis mode hands the deduplicated block
-workload to the wave scheduler, which preserves the serial nearest-donor
-warm-start semantics while letting independent blocks size in parallel.
-The default :class:`~repro.engine.config.FlowConfig` keeps everything
-serial and in-memory, so callers that never touch ``config`` see the same
-behaviour (and bit-identical results) as before.
+Analytic screening evaluates every candidate inline: the seven 13-bit
+candidates cost well under a millisecond together, so a pool dispatch
+would only add overhead.  Synthesis mode hands the deduplicated block
+workload to the execution engine's wave scheduler (:mod:`repro.engine`),
+which preserves the serial nearest-donor warm-start semantics while
+letting independent blocks size in parallel.  The default
+:class:`~repro.engine.config.FlowConfig` keeps everything serial and
+in-memory.
 """
 
 from __future__ import annotations
@@ -72,29 +72,6 @@ class TopologyResult:
         return [(e.label, e.total_power * 1e3) for e in self.evaluations]
 
 
-@dataclass(frozen=True)
-class _AnalyticTask:
-    """Picklable per-candidate analytic evaluation unit."""
-
-    spec: AdcSpec
-    candidate: PipelineCandidate
-    model: PowerModel
-
-
-def _evaluate_analytic(task: _AnalyticTask) -> CandidateEvaluation:
-    """Analytic evaluation of one candidate — pool-dispatchable."""
-    plan = plan_stages(task.spec, task.candidate)
-    cp: CandidatePower = candidate_power(task.spec, task.candidate, task.model, plan)
-    return CandidateEvaluation(
-        candidate=task.candidate,
-        plan=plan,
-        stage_powers=tuple(s.total_power for s in cp.stages),
-        mdac_powers=tuple(s.mdac.total_power for s in cp.stages),
-        mode="analytic",
-        all_feasible=True,
-    )
-
-
 def _evaluate_synthesis(
     plan: StagePlan,
     cache: BlockCache,
@@ -143,7 +120,9 @@ def optimize_topology(
     optional persistent block cache; an explicitly passed ``cache`` wins
     over ``config.make_cache`` (its budgets then drive the scheduler), and
     an explicitly passed ``backend`` is reused without being closed —
-    callers sharing a pool across several runs own its lifecycle.
+    callers sharing a pool across several runs own its lifecycle.  Only
+    synthesis mode dispatches through the backend; analytic mode never
+    touches it.
 
     Sub-ADC power always comes from the comparator model; ranking ascending
     by total front-end power.  Rankings are backend-independent: the wave
@@ -157,14 +136,26 @@ def optimize_topology(
     if config is None:
         config = FlowConfig()
 
-    owns_backend = backend is None
-    if backend is None:
-        backend = create_backend(config.backend, config)
-    try:
-        if mode == "analytic":
-            tasks = [_AnalyticTask(spec, cand, model) for cand in candidates]
-            evaluations = backend.map(_evaluate_analytic, tasks)
-        else:
+    if mode == "analytic":
+        evaluations = []
+        for cand in candidates:
+            plan = plan_stages(spec, cand)
+            cp: CandidatePower = candidate_power(spec, cand, model, plan)
+            evaluations.append(
+                CandidateEvaluation(
+                    candidate=cand,
+                    plan=plan,
+                    stage_powers=tuple(s.total_power for s in cp.stages),
+                    mdac_powers=tuple(s.mdac.total_power for s in cp.stages),
+                    mode="analytic",
+                    all_feasible=True,
+                )
+            )
+    else:
+        owns_backend = backend is None
+        if backend is None:
+            backend = create_backend(config.backend, config)
+        try:
             if cache is None:
                 cache = config.make_cache(spec.tech)
             stage_plans = [plan_stages(spec, cand) for cand in candidates]
@@ -176,9 +167,9 @@ def optimize_topology(
             evaluations = [
                 _evaluate_synthesis(p, cache, model, spec) for p in stage_plans
             ]
-    finally:
-        if owns_backend:
-            backend.close()
+        finally:
+            if owns_backend:
+                backend.close()
 
     evaluations.sort(key=lambda e: e.total_power)
     return TopologyResult(

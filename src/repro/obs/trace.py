@@ -28,6 +28,7 @@ cost one attribute check and allocate nothing that outlives the call.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -101,6 +102,23 @@ class Tracer:
             return None
         trace_id, span_id = stack[-1]
         return {"trace": trace_id, "span": span_id}
+
+    @contextlib.contextmanager
+    def adopted(self, context: dict | None):
+        """Parent the spans this thread opens inside the block to ``context``.
+
+        For pool workers, which run each task under the context captured
+        where the task was dispatched: a pool thread starts with no open
+        span, and a forked pool worker inherits whichever span was open
+        when the pool was created, not the one dispatching the task.
+        """
+        stack = self._stack()
+        saved = stack[:]
+        stack[:] = [(context["trace"], context["span"])] if context else []
+        try:
+            yield
+        finally:
+            stack[:] = saved
 
     # -- emission --------------------------------------------------------
 

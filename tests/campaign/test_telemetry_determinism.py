@@ -19,14 +19,31 @@ MODES = ("off", "metrics", "trace")
 DETERMINISTIC = ("results.jsonl", "report.txt", "manifest.json")
 
 
+#: Counters of work done, which must not depend on which process did it.
+#: Per-process cache traffic (``template.compiled``, ``cache.memory_hits``)
+#: legitimately grows with the number of worker processes.
+WORK_COUNTERS = (
+    "campaign.scenarios",
+    "scheduler.job_executions",
+    "synth.repairs",
+    "transient.calls",
+    "transient.steps",
+    "transient.newton_iterations",
+    "cache.cold_runs",
+    "cache.retargeted_runs",
+)
+
+
 def _run(tmp_path, name, **config_kwargs):
     store = tmp_path / name
     grid = CampaignGrid(resolutions=(10,), modes=("synthesis",))
     config = FlowConfig(
-        budget=60,
-        retarget_budget=30,
-        verify_transient=False,
-        **config_kwargs,
+        **{
+            "budget": 60,
+            "retarget_budget": 30,
+            "verify_transient": False,
+            **config_kwargs,
+        }
     )
     run_campaign(grid, config=config, store_dir=store)
     return store
@@ -85,10 +102,13 @@ class TestModeDeterminism:
 
 class TestBackendDeterminism:
     def test_process_backend_traces_match_serial_bytes(self, tmp_path):
-        serial = _run(tmp_path, "serial-off", telemetry="off")
+        # The transient verifier stays on so the repair and transient
+        # counters have something to count.
+        serial = _run(tmp_path, "serial-metrics", verify_transient=True)
         pooled = _run(
             tmp_path, "pool-trace",
             telemetry="trace", backend="process", max_workers=2,
+            verify_transient=True,
         )
         for artifact in DETERMINISTIC:
             assert (pooled / artifact).read_bytes() == (
@@ -98,4 +118,13 @@ class TestBackendDeterminism:
         # Pool workers spool their snapshots into the store; the runner
         # folds them in next to its own live registry.
         assert payload["sources"]["spooled"] >= 1
-        assert payload["metrics"]["counters"]["scheduler.job_executions"] >= 1
+        pooled_counters = payload["metrics"]["counters"]
+        serial_counters = json.loads(
+            (serial / obs.METRICS_FILENAME).read_text()
+        )["metrics"]["counters"]
+        assert serial_counters["transient.calls"] >= 1
+        assert serial_counters["synth.repairs"] >= 1
+        # Workers start from an empty registry: what the runner counted
+        # before the fork is not counted again once per worker.
+        for name in WORK_COUNTERS:
+            assert pooled_counters.get(name, 0) == serial_counters.get(name, 0), name

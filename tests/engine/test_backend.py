@@ -1,7 +1,17 @@
 """Execution-backend contract tests."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine.backend import (
     BACKENDS,
     ExecutionBackend,
@@ -17,6 +27,17 @@ from repro.errors import SpecificationError
 def _square(x: int) -> int:
     """Module-level so the process pool can pickle a reference to it."""
     return x * x
+
+
+def _worker_telemetry(_: int) -> tuple[dict, str]:
+    """A pool worker's own counters and telemetry mode."""
+    from repro.obs import metrics
+
+    return metrics.REGISTRY.snapshot()["counters"], metrics.telemetry_mode()
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
 
 
 class TestSerialBackend:
@@ -58,6 +79,111 @@ class TestProcessPoolBackend:
 
     def test_satisfies_protocol(self):
         assert isinstance(ProcessPoolBackend(), ExecutionBackend)
+
+
+class TestPoolSizing:
+    """Pools default to the CPUs this process may run on, not the host's."""
+
+    def test_default_follows_the_affinity_mask(self, monkeypatch, tmp_path):
+        from repro.engine.broker import BrokerBackend
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ProcessPoolBackend().max_workers == 3
+        assert ThreadPoolBackend().max_workers == 3
+        queue = BrokerBackend(name="queue", queue_dir=str(tmp_path))
+        try:
+            assert queue.max_workers == 3
+        finally:
+            queue.close()
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert ProcessPoolBackend().max_workers == 5
+
+    @pytest.mark.parametrize("affinity, workers", [({0}, None), ({0, 1, 2, 3}, 1)])
+    def test_one_cpu_runs_inline_and_forks_nothing(
+        self, monkeypatch, affinity, workers
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", _no_pool)
+        with ProcessPoolBackend(max_workers=workers) as backend:
+            assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert backend._executor is None
+
+
+class TestPoolWorkerRegistry:
+    def test_workers_start_from_an_empty_registry(self):
+        from repro.obs import metrics
+
+        metrics.reset_all()
+        metrics.counter("test.parent_only", 7)
+        try:
+            with ProcessPoolBackend(max_workers=2) as backend:
+                results = backend.map(_worker_telemetry, [0, 1, 2, 3])
+        finally:
+            metrics.reset_all()
+        for counters, mode in results:
+            assert "test.parent_only" not in counters
+            assert mode == "metrics"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only fork-started workers inherit the parent's mode",
+    )
+    def test_workers_keep_the_inherited_telemetry_mode(self):
+        from repro.obs import metrics
+
+        metrics.reset_all("off")
+        try:
+            with ProcessPoolBackend(max_workers=2) as backend:
+                results = backend.map(_worker_telemetry, [0, 1])
+        finally:
+            metrics.reset_all()
+        assert {mode for _, mode in results} == {"off"}
+
+
+#: Starts a two-worker pool, prints the worker pids, then SIGKILLs itself.
+_ORPHAN_SCRIPT = """
+import os, signal
+from repro.engine.backend import ProcessPoolBackend
+
+backend = ProcessPoolBackend(max_workers=2)
+backend.map(abs, [-1, -2])
+print(*backend._executor._processes, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestPoolWorkerLifetime:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_workers_exit_when_their_parent_is_killed(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        )
+        with proc.stdout:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.wait(timeout=60)
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
 
 class TestThreadPoolBackend:

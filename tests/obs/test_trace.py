@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from repro.engine.backend import ProcessPoolBackend, ThreadPoolBackend
+from repro.engine.broker import BrokerBackend
 from repro.obs.report import read_spans, render_trace
 from repro.obs.trace import (
     TRACE_ENV,
@@ -103,6 +107,46 @@ class TestSpanExport:
         with span("via-env"):
             pass
         assert _spans(tmp_path)[0]["name"] == "via-env"
+
+
+def _traced_task(task: tuple[int, int]) -> int:
+    """Module-level so a process pool can pickle it: one span per task."""
+    wave, n = task
+    with span("pool.task", wave=wave):
+        return n
+
+
+def _queue_backend(max_workers, queue_dir):
+    return BrokerBackend(name="queue", queue_dir=queue_dir, max_workers=max_workers)
+
+
+class TestPoolPropagation:
+    @pytest.mark.parametrize(
+        "make_backend",
+        [
+            lambda n, _: ProcessPoolBackend(n),
+            lambda n, _: ThreadPoolBackend(n),
+            _queue_backend,
+        ],
+        ids=["process", "thread", "queue"],
+    )
+    def test_pool_tasks_parent_to_the_dispatching_span(self, tmp_path, make_backend):
+        trace_dir = tmp_path / "traces"
+        configure_tracing(trace_dir)
+        backend = make_backend(2, str(tmp_path / "queue"))
+        try:
+            # The pool starts inside wave 0; wave 1 reuses its workers.
+            for wave in range(2):
+                with span("wave", wave=wave):
+                    assert backend.map(_traced_task, [(wave, n) for n in range(3)]) == [0, 1, 2]
+        finally:
+            backend.close()
+        records = _spans(trace_dir)
+        waves = {r["attrs"]["wave"]: r["span"] for r in records if r["name"] == "wave"}
+        tasks = [r for r in records if r["name"] == "pool.task"]
+        assert len(tasks) == 6
+        for record in tasks:
+            assert record["parent"] == waves[record["attrs"]["wave"]]
 
 
 class TestCurrentContext:

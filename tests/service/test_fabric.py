@@ -18,8 +18,6 @@ from repro.engine.worker import WorkerLoop
 from repro.errors import ServiceError
 from repro.service import BackgroundServer, ServiceClient, wire
 
-GRID = CampaignGrid(resolutions=(10, 11))
-
 _REPO_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
@@ -209,16 +207,20 @@ class TestFleetByteIdentity:
     def test_two_workers_match_the_serial_reference(self, server, tmp_path):
         """The acceptance gate: a 2-worker fleet campaign is byte-identical
         to the serial run."""
+        # Synthesis waves are the fan-out that ships to the fleet (analytic
+        # screening runs inline in the campaign process).
+        grid = CampaignGrid(resolutions=(10,), modes=("analytic", "synthesis"))
+        knobs = dict(budget=20, retarget_budget=10, verify_transient=False)
         serial = tmp_path / "serial"
-        run_campaign(GRID, config=FlowConfig(), store_dir=serial)
+        run_campaign(grid, config=FlowConfig(**knobs), store_dir=serial)
 
         fleet = tmp_path / "fleet"
         workers = [_spawn_worker(server.base_url) for _ in range(2)]
         try:
             run_campaign(
-                GRID,
+                grid,
                 config=FlowConfig(
-                    backend="broker", broker_url=server.base_url
+                    backend="broker", broker_url=server.base_url, **knobs
                 ),
                 store_dir=fleet,
             )
